@@ -9,9 +9,6 @@
 // Flags:
 //   --out-dir=DIR         checkpoint directory (required in practice)
 //   --threads=N           sweep shards (0 = hardware concurrency)
-//   --pipeline            streamed scheduler (bounded queues, §5i);
-//                         bit-identical corpus, snapshots and digest
-//   --queue-capacity=N    queue depth (batches) for --pipeline
 //   --snapshot-version=V  on-disk snapshot format for the day snapshots:
 //                         2 (default, block-compressed) or 1 (frozen v1).
 //                         Resume auto-detects per file, so a chain may mix
@@ -20,10 +17,10 @@
 //   --kill-after-day=K    simulate a crash: exit hard with status 42 (no
 //                         cleanup, like a kill -9) right after day K
 //                         commits
-//   --kill-mid-day=K      simulate a crash: exit hard with status 43 the
-//                         moment day K has drained its first rows —
-//                         nothing about day K is committed yet, so a
-//                         resume must replay it from scratch
+//   --kill-mid-day=K      simulate a crash: exit hard with status 43 once
+//                         day K's sweep has merged its rows — nothing
+//                         about day K is committed yet, so a resume must
+//                         replay it from scratch
 //   --digest-only         print only the final corpus digest (for scripts)
 //
 // The digest folds every observation column, every day summary, and the
@@ -76,7 +73,7 @@ int main(int argc, char** argv) {
   using namespace scent;
 
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   unsigned days = 6;
   long kill_after_day = -1;
   long kill_mid_day = -1;
@@ -119,8 +116,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.pipeline = cli.pipeline;
-  options.queue_capacity = cli.queue_capacity;
   options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
@@ -142,8 +137,8 @@ int main(int argc, char** argv) {
       std::_Exit(42);
     }
   };
-  // Mid-day kill hook: die the moment campaign day K (0-based, relative to
-  // this run's first day) has drained its first rows. Day K's snapshot and
+  // Mid-day kill hook: die once campaign day K (0-based, relative to this
+  // run's first day) has merged its swept rows. Day K's snapshot and
   // manifest entry are NOT durable yet — the resumed run must replay the
   // day in full and still land on the uninterrupted digest.
   if (kill_mid_day >= 0) {

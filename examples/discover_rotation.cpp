@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   // --threads=N shards every funnel sweep (bit-identical at any value);
   // --out-dir=DIR is where the journal and corpus artifacts land.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   const unsigned threads = cli.threads;
   examples::TraceSink trace_sink{cli};
 

@@ -3,11 +3,6 @@
 // The shared flags, parsed identically everywhere:
 //   --threads=N      worker shards for engine-backed sweeps (0 = hardware
 //                    concurrency); bit-identical results at any value.
-//   --pipeline       streamed scheduler (DESIGN.md §5i): probe shards
-//                    drain through bounded queues into ingest/snapshot
-//                    concurrently with probing; bit-identical results.
-//   --queue-capacity=N  bounded-queue depth, in observation batches, for
-//                    --pipeline (default 16).
 //   --snapshot-version=V  on-disk snapshot format for examples that write
 //                    snapshots: 2 (default, block-compressed) or 1 (the
 //                    frozen uncompressed layout). Readers auto-detect.
@@ -16,14 +11,19 @@
 //                    file name in the repo root).
 //   --trace-out=FILE write a Chrome trace-event JSON timeline of the run
 //                    (open in https://ui.perfetto.dev or chrome://tracing).
+//
+// A --threads value that is not a plain decimal number, a
+// --snapshot-version other than 1 or 2, or an --out-dir that cannot be
+// created is a usage error: main() exits 2 before doing any work.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "trace/chrome_export.h"
 #include "trace/recorder.h"
@@ -32,11 +32,10 @@ namespace scent::examples {
 
 struct Cli {
   unsigned threads = 1;
-  bool pipeline = false;
-  unsigned queue_capacity = 16;
   unsigned snapshot_version = 2;
   std::string out_dir = ".";
   bool out_dir_ok = true;  ///< False when --out-dir could not be created.
+  bool flags_ok = true;    ///< False when a shared flag's value is invalid.
   std::string trace_out;   ///< Empty = tracing off.
 
   /// Parses the shared flags; unrecognized arguments are left for the
@@ -45,16 +44,18 @@ struct Cli {
     Cli cli;
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        cli.threads =
-            static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
-      } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-        cli.pipeline = true;
-      } else if (std::strncmp(argv[i], "--queue-capacity=", 17) == 0) {
-        cli.queue_capacity =
-            static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
+        if (!parse_unsigned(argv[i] + 10, cli.threads)) {
+          std::fprintf(stderr, "error: %s is not a thread count\n", argv[i]);
+          cli.flags_ok = false;
+        }
       } else if (std::strncmp(argv[i], "--snapshot-version=", 19) == 0) {
-        cli.snapshot_version =
-            static_cast<unsigned>(std::strtoul(argv[i] + 19, nullptr, 10));
+        if (!parse_unsigned(argv[i] + 19, cli.snapshot_version) ||
+            cli.snapshot_version < 1 || cli.snapshot_version > 2) {
+          std::fprintf(stderr,
+                       "error: %s is not a snapshot format (1 or 2)\n",
+                       argv[i]);
+          cli.flags_ok = false;
+        }
       } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
         cli.out_dir = argv[i] + 10;
       } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
@@ -68,7 +69,7 @@ struct Cli {
       // create_directories reports false-without-error when the directory
       // already exists, so test existence, not the return value. An example
       // that cannot land artifacts must fail loudly, not write nothing and
-      // exit 0 — main() checks require_out_dir() before doing any work.
+      // exit 0 — main() checks require_valid() before doing any work.
       cli.out_dir_ok = std::filesystem::is_directory(cli.out_dir, ec);
       if (!cli.out_dir_ok) {
         std::fprintf(stderr, "error: cannot create --out-dir=%s\n",
@@ -78,15 +79,24 @@ struct Cli {
     return cli;
   }
 
-  /// Exit status for unusable --out-dir, or 0. Call first in main():
-  ///   if (int rc = cli.require_out_dir()) return rc;
-  [[nodiscard]] int require_out_dir() const noexcept {
-    return out_dir_ok ? 0 : 2;
+  /// Exit status 2 for an unusable --out-dir or an invalid shared flag
+  /// value, else 0. Call first in main():
+  ///   if (int rc = cli.require_valid()) return rc;
+  [[nodiscard]] int require_valid() const noexcept {
+    return out_dir_ok && flags_ok ? 0 : 2;
   }
 
   /// Routes an artifact file name through the output directory.
   [[nodiscard]] std::string path(const std::string& file) const {
     return out_dir + "/" + file;
+  }
+
+ private:
+  /// Strict decimal parse: digits only, nonempty, fits in unsigned.
+  static bool parse_unsigned(const char* text, unsigned& out) {
+    const char* end = text + std::strlen(text);
+    const auto [stop, ec] = std::from_chars(text, end, out);
+    return ec == std::errc{} && stop == end;
   }
 };
 

@@ -5,15 +5,13 @@
 // contiguous row blocks in row order (accumulate), fold later shards into
 // earlier ones in shard order (merge_from), and unwrap the result into
 // the public AggregateTable (finish). analyze() drives a set of them over
-// engine::shard_rows slices behind a barrier; the streaming ingest path
-// (core/sweep_ingest) instead gives each probe shard its own Accumulator
-// and feeds it observation batches as they are produced — shard-local
-// DeviceAggregate building starts while later shards are still probing.
+// engine::shard_rows slices; serve::ServeTable keeps one as its maintained
+// state and merges each day's delta accumulator into it.
 //
 // Determinism: every aggregate field is a pure function of the row set
-// plus first-occurrence order, and both drivers partition the rows into
+// plus first-occurrence order, and the rows are partitioned into
 // contiguous ordered shards, so the merged table is bit-identical no
-// matter which driver produced it or how many shards it used (§5g, §5i).
+// matter how many shards produced it (§5g, §5k).
 // Attribution is a pure lookup, so it does not matter whether a shard
 // reads a pre-primed shared cache or populates a private lazy one.
 #pragma once

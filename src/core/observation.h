@@ -59,8 +59,8 @@ class ObservationStore {
                                       net::MacAddressHash>;
 
   /// The stored 16-bit type/code lane: ICMPv6 type in the high byte. Public
-  /// so streamed producers (pipeline observation batches) can pack rows in
-  /// the store's own format before they reach add_packed().
+  /// so row producers outside the store can pack rows in the store's own
+  /// format before they reach add_packed().
   [[nodiscard]] static constexpr std::uint16_t pack_type_code(
       wire::Icmpv6Type type, std::uint8_t code) noexcept {
     return static_cast<std::uint16_t>(

@@ -55,42 +55,73 @@ SweepPlan::SweepPlan(std::span<const SweepUnit> units,
   shard_begin_[shard_count] = units.size();
 }
 
-/// Everything one worker owns; kept alive until the finish() merge.
-struct ShardedSweep::ShardState {
-  probe::Prober::Counters counters;
-  sim::Internet::Stats stats;
-  telemetry::Registry registry;
-  std::unique_ptr<trace::TraceRecorder> recorder;  ///< Only when tracing.
-};
+namespace {
 
-ShardedSweep::ShardedSweep(sim::Internet& internet, sim::VirtualClock& clock,
-                           std::span<const SweepUnit> units,
-                           const probe::ProberOptions& prober_options,
-                           const SweepOptions& options)
-    : internet_(internet),
-      clock_(clock),
-      units_(units),
-      prober_options_(prober_options),
-      options_(options),
-      plan_(units, prober_options, clock.now(),
-            effective_threads(options.threads, options.oversubscribe)),
-      shards_(plan_.shard_count()) {
-  report_.threads_used = plan_.shard_count();
-  report_.start = plan_.start();
-  report_.units.resize(units.size());
-  if (options_.trace != nullptr) {
-    for (auto& shard : shards_) {
-      shard.recorder = std::make_unique<trace::TraceRecorder>(
-          options_.trace->recorder_capacity());
+/// The sharded sweep in three steps: construction resolves the shard
+/// count and precomputes the plan, run_shard(s) executes one shard's units
+/// (thread-safe across distinct shards — each call owns only shard-local
+/// state), and finish() performs the deterministic shard-order merge and
+/// advances the caller's clock.
+class ShardedSweep {
+ public:
+  ShardedSweep(sim::Internet& internet, sim::VirtualClock& clock,
+               std::span<const SweepUnit> units,
+               const probe::ProberOptions& prober_options,
+               const SweepOptions& options)
+      : internet_(internet),
+        clock_(clock),
+        units_(units),
+        prober_options_(prober_options),
+        options_(options),
+        plan_(units, prober_options, clock.now(),
+              effective_threads(options.threads, options.oversubscribe)),
+        shards_(plan_.shard_count()) {
+    report_.threads_used = plan_.shard_count();
+    report_.start = plan_.start();
+    report_.units.resize(units.size());
+    if (options_.trace != nullptr) {
+      for (auto& shard : shards_) {
+        shard.recorder = std::make_unique<trace::TraceRecorder>(
+            options_.trace->recorder_capacity());
+      }
     }
   }
-}
 
-ShardedSweep::~ShardedSweep() = default;
+  ShardedSweep(const ShardedSweep&) = delete;
+  ShardedSweep& operator=(const ShardedSweep&) = delete;
 
-unsigned ShardedSweep::threads() const noexcept {
-  return plan_.shard_count();
-}
+  [[nodiscard]] unsigned threads() const noexcept {
+    return plan_.shard_count();
+  }
+
+  /// Runs shard `s`'s units at their precomputed serial start times,
+  /// streaming results into `sink` (may be null). Call at most once per
+  /// shard; calls for distinct shards may run concurrently.
+  void run_shard(unsigned s, UnitSink* sink);
+
+  /// Shard-order merge: counters, net stats, shard registries, "sweep
+  /// shard s" trace lanes — then advances the clock to the schedule end.
+  /// Call once, after every run_shard call has returned.
+  [[nodiscard]] SweepReport finish();
+
+ private:
+  /// Everything one worker owns; kept alive until the finish() merge.
+  struct ShardState {
+    probe::Prober::Counters counters;
+    sim::Internet::Stats stats;
+    telemetry::Registry registry;
+    std::unique_ptr<trace::TraceRecorder> recorder;  ///< Only when tracing.
+  };
+
+  sim::Internet& internet_;
+  sim::VirtualClock& clock_;
+  std::span<const SweepUnit> units_;
+  const probe::ProberOptions& prober_options_;
+  const SweepOptions& options_;
+  SweepPlan plan_;
+  SweepReport report_;
+  std::vector<ShardState> shards_;
+};
 
 void ShardedSweep::run_shard(unsigned s, UnitSink* sink) {
   ShardState& state = shards_[s];
@@ -165,6 +196,8 @@ SweepReport ShardedSweep::finish() {
   report_.end = clock_.now();
   return std::move(report_);
 }
+
+}  // namespace
 
 SweepReport run_sharded_sweep(
     sim::Internet& internet, sim::VirtualClock& clock,

@@ -1,18 +1,26 @@
 // Property suite for the engine's determinism contract: the full
-// bootstrap-funnel + campaign pipeline run through the sharded executor
-// must produce a bit-identical corpus — every observation field, every
-// derived prefix set, every funnel number — at ANY thread count. Each
-// (scenario, seed, threads) cell builds a fresh world and is compared
+// bootstrap-funnel + checkpointed campaign pipeline run through the
+// sharded executor must produce a bit-identical corpus — every
+// observation field, every derived prefix set, every funnel number, every
+// byte of the on-disk snapshot chain and manifest — at ANY thread count.
+// Each (scenario, seed, threads) cell builds a fresh world and is compared
 // field-by-field against a cached threads=1 reference from an identical
-// world.
+// world. A campaign aborted mid-day must also resume to that same corpus
+// and chain (§5f).
 //
 // Under ThreadSanitizer the matrix shrinks (TSan runs ~15x slower) but
 // still crosses both scenarios with real multi-threaded runs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bootstrap.h"
@@ -103,9 +111,84 @@ sim::Internet make_world(Scenario scenario, std::uint64_t seed) {
   return builder.take();
 }
 
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& tag) {
+    path = std::string{::testing::TempDir()} + "/scent_equiv_" + tag + "_" +
+           std::to_string(::getpid());
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<char>{std::istreambuf_iterator<char>{in},
+                           std::istreambuf_iterator<char>{}};
+}
+
+/// Every file of a checkpoint directory, sorted by name, with its bytes.
+struct ChainFiles {
+  std::vector<std::string> names;
+  std::vector<std::vector<char>> bytes;
+};
+
+ChainFiles read_chain(const std::string& dir) {
+  ChainFiles chain;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    chain.names.push_back(entry.path().filename().string());
+  }
+  std::sort(chain.names.begin(), chain.names.end());
+  for (const auto& name : chain.names) {
+    chain.bytes.push_back(file_bytes(dir + "/" + name));
+  }
+  return chain;
+}
+
+void expect_same_chain(const ChainFiles& want, const ChainFiles& got) {
+  ASSERT_EQ(want.names, got.names);
+  for (std::size_t i = 0; i < want.names.size(); ++i) {
+    EXPECT_EQ(want.bytes[i], got.bytes[i]) << "chain file " << want.names[i];
+  }
+}
+
+probe::ProberOptions fast_prober_options() {
+  probe::ProberOptions options;
+  options.wire_mode = false;
+  options.packets_per_second = 2000000;
+  return options;
+}
+
+core::BootstrapOptions bootstrap_options(std::uint64_t seed,
+                                         unsigned threads) {
+  core::BootstrapOptions boot;
+  boot.seed = seed ^ 0xF00D;
+  boot.probes_per_48 = 4;
+  boot.threads = threads;
+  boot.oversubscribe = true;  // real multi-shard runs even on 1-core CI
+  return boot;
+}
+
+core::CampaignOptions campaign_options(std::uint64_t seed, unsigned threads,
+                                       const std::string& checkpoint_dir) {
+  core::CampaignOptions campaign;
+  campaign.days = kTsan ? 2 : 3;
+  campaign.seed = seed ^ 0xCA3B;
+  campaign.threads = threads;
+  campaign.oversubscribe = true;
+  campaign.checkpoint_dir = checkpoint_dir;
+  return campaign;
+}
+
 struct PipelineRun {
   core::BootstrapResult boot;
   core::CampaignResult campaign;
+  ChainFiles chain;  ///< The campaign's snapshot chain + manifest.
 };
 
 PipelineRun run_pipeline(Scenario scenario, std::uint64_t seed,
@@ -116,26 +199,18 @@ PipelineRun run_pipeline(Scenario scenario, std::uint64_t seed,
   // different experiment).
   sim::VirtualClock clock{sim::hours(10)};
 
-  probe::ProberOptions prober_options;
-  prober_options.wire_mode = false;
-  prober_options.packets_per_second = 2000000;
-  probe::Prober prober{internet, clock, prober_options};
+  probe::Prober prober{internet, clock, fast_prober_options()};
 
   PipelineRun run;
-  core::BootstrapOptions boot;
-  boot.seed = seed ^ 0xF00D;
-  boot.probes_per_48 = 4;
-  boot.threads = threads;
-  boot.oversubscribe = true;  // real multi-shard runs even on 1-core CI
-  run.boot = core::run_bootstrap(internet, clock, prober, boot);
+  run.boot = core::run_bootstrap(internet, clock, prober,
+                                 bootstrap_options(seed, threads));
 
-  core::CampaignOptions campaign;
-  campaign.days = kTsan ? 2 : 3;
-  campaign.seed = seed ^ 0xCA3B;
-  campaign.threads = threads;
-  campaign.oversubscribe = true;
-  run.campaign = core::run_campaign(internet, clock, prober,
-                                    run.boot.rotating_48s, campaign);
+  const TempDir dir{"t" + std::to_string(threads)};
+  run.campaign =
+      core::run_campaign(internet, clock, prober, run.boot.rotating_48s,
+                         campaign_options(seed, threads, dir.path));
+  EXPECT_TRUE(run.campaign.checkpoint_ok);
+  run.chain = read_chain(dir.path);
   return run;
 }
 
@@ -199,6 +274,10 @@ void expect_same_run(const PipelineRun& want, const PipelineRun& got) {
               got.campaign.daily[d].unique_eui64_iids);
   }
   expect_same_corpus(want.campaign.observations, got.campaign.observations);
+
+  // The on-disk snapshot chain + manifest: byte-identical, file by file
+  // (v2 block compression fans across the same thread count).
+  expect_same_chain(want.chain, got.chain);
 }
 
 TEST(EngineEquivalence, ParallelPipelineIsBitIdenticalToSerial) {
@@ -218,6 +297,7 @@ TEST(EngineEquivalence, ParallelPipelineIsBitIdenticalToSerial) {
       // The reference must itself be nontrivial, or equivalence is vacuous.
       ASSERT_FALSE(reference.boot.rotating_48s.empty());
       ASSERT_GT(reference.campaign.observations.size(), 0u);
+      ASSERT_FALSE(reference.chain.names.empty());
 
       for (const unsigned threads : thread_counts) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
@@ -236,6 +316,96 @@ TEST(EngineEquivalence, HardwareThreadCountAlsoMatches) {
   const PipelineRun hardware =
       run_pipeline(Scenario::kChurn, 0x44, 0);
   expect_same_run(reference, hardware);
+}
+
+TEST(EngineEquivalence, MidDayAbortResumesBitIdentically) {
+  // Abort a checkpointed campaign from its progress hook on day 1 — the
+  // day's rows are merged but nothing about the day is committed yet —
+  // resume from the surviving chain at another thread count, and demand
+  // the final corpus + chain match an uninterrupted run. The §5f
+  // contract's mid-day half: a partially swept day leaves no trace.
+  const std::uint64_t seed = 0x77;
+  const unsigned threads = kTsan ? 2 : 4;
+
+  struct MidDayAbort : std::runtime_error {
+    MidDayAbort() : std::runtime_error{"mid-day abort"} {}
+  };
+
+  TempDir dir{"abort"};
+  std::vector<net::Prefix> targets;
+  {
+    sim::Internet world = make_world(Scenario::kChurn, seed);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world, clock, fast_prober_options()};
+    const auto booted = core::run_bootstrap(
+        world, clock, prober, bootstrap_options(seed, threads));
+    targets = booted.rotating_48s;
+    ASSERT_FALSE(targets.empty());
+
+    // The campaign's absolute day index depends on how far bootstrap
+    // advanced the clock; abort relative to the first day seen.
+    core::CampaignOptions abort_options =
+        campaign_options(seed, threads, dir.path);
+    std::int64_t first_seen = -1;
+    abort_options.on_day_progress = [&first_seen](std::int64_t day,
+                                                  std::size_t rows) {
+      if (first_seen < 0) first_seen = day;
+      if (day > first_seen && rows > 0) throw MidDayAbort{};
+    };
+    EXPECT_THROW(
+        core::run_campaign(world, clock, prober, targets, abort_options),
+        MidDayAbort);
+  }
+  // Day 0 committed before the abort; day 1 must not have.
+  ASSERT_TRUE(std::filesystem::exists(dir.path + "/day_0000.snap"));
+  ASSERT_FALSE(std::filesystem::exists(dir.path + "/day_0001.snap"));
+
+  // Resume in a fresh process-equivalent: new world, new clock, same dir.
+  core::CampaignResult resumed;
+  {
+    sim::Internet world = make_world(Scenario::kChurn, seed);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world, clock, fast_prober_options()};
+    const auto booted = core::run_bootstrap(
+        world, clock, prober, bootstrap_options(seed, threads));
+    ASSERT_EQ(booted.rotating_48s, targets);
+    resumed = core::run_campaign(world, clock, prober, targets,
+                                 campaign_options(seed, 1, dir.path));
+  }
+  EXPECT_EQ(resumed.resumed_days, 1u);
+
+  // Uninterrupted reference, own directory. Its progress hook must fire
+  // exactly once per day, right after the merge, with the day's rows.
+  TempDir whole_dir{"whole"};
+  core::CampaignResult whole;
+  std::vector<std::size_t> progress_rows;
+  {
+    sim::Internet world = make_world(Scenario::kChurn, seed);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world, clock, fast_prober_options()};
+    (void)core::run_bootstrap(world, clock, prober,
+                              bootstrap_options(seed, threads));
+    core::CampaignOptions whole_options =
+        campaign_options(seed, threads, whole_dir.path);
+    whole_options.on_day_progress = [&](std::int64_t, std::size_t rows) {
+      progress_rows.push_back(rows);
+    };
+    whole = core::run_campaign(world, clock, prober, targets, whole_options);
+  }
+  ASSERT_EQ(progress_rows.size(), whole.daily.size());
+  std::size_t rows_seen = 0;
+  for (const std::size_t rows : progress_rows) rows_seen += rows;
+  EXPECT_EQ(rows_seen, whole.observations.size());
+
+  expect_same_corpus(whole.observations, resumed.observations);
+  EXPECT_EQ(whole.allocation_length_by_as, resumed.allocation_length_by_as);
+  ASSERT_EQ(whole.daily.size(), resumed.daily.size());
+  for (std::size_t d = 0; d < whole.daily.size(); ++d) {
+    EXPECT_EQ(whole.daily[d].probes, resumed.daily[d].probes);
+    EXPECT_EQ(whole.daily[d].unique_eui64_iids,
+              resumed.daily[d].unique_eui64_iids);
+  }
+  expect_same_chain(read_chain(whole_dir.path), read_chain(dir.path));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Tests for the shared example CLI (examples/example_util.h), pinning the
-// --out-dir error contract: an out-dir that cannot be created must flip
-// out_dir_ok and make require_out_dir() return nonzero, so examples exit
-// loudly instead of silently writing nothing. The companion ctest entries
-// (CliOutDirFailure.*, WILL_FAIL) hold each example binary to actually
-// honoring it.
+// usage-error contract: an out-dir that cannot be created, a non-numeric
+// --threads or a --snapshot-version outside {1, 2} must make
+// require_valid() return 2, so examples exit loudly instead of silently
+// writing nothing or writing something else than asked. The companion
+// ctest entries (CliOutDirFailure.*, CliBadFlagFailure.*, WILL_FAIL) hold
+// each example binary to actually honoring it.
 
 #include "example_util.h"
 
@@ -24,17 +25,38 @@ Cli parse_args(std::vector<std::string> args) {
 }
 
 TEST(CliExamples, SharedFlagsParse) {
-  const Cli cli = parse_args({"--threads=8", "--pipeline",
-                              "--queue-capacity=4", "--snapshot-version=1",
-                              "--trace-out=t.json"});
+  const Cli cli = parse_args(
+      {"--threads=8", "--snapshot-version=1", "--trace-out=t.json"});
   EXPECT_EQ(cli.threads, 8u);
-  EXPECT_TRUE(cli.pipeline);
-  EXPECT_EQ(cli.queue_capacity, 4u);
   EXPECT_EQ(cli.snapshot_version, 1u);
   EXPECT_EQ(cli.trace_out, "t.json");
   EXPECT_EQ(cli.out_dir, ".");
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_TRUE(cli.flags_ok);
+  EXPECT_EQ(cli.require_valid(), 0);
+}
+
+TEST(CliExamples, NonNumericThreadsFailsLoudly) {
+  for (const char* bad : {"--threads=abc", "--threads=", "--threads=4x",
+                          "--threads=-1", "--threads=99999999999"}) {
+    SCOPED_TRACE(bad);
+    const Cli cli = parse_args({bad});
+    EXPECT_FALSE(cli.flags_ok);
+    EXPECT_EQ(cli.require_valid(), 2);
+  }
+  // 0 is a number (hardware concurrency), not a usage error.
+  EXPECT_EQ(parse_args({"--threads=0"}).require_valid(), 0);
+}
+
+TEST(CliExamples, SnapshotVersionOutsideOneOrTwoFailsLoudly) {
+  for (const char* bad : {"--snapshot-version=3", "--snapshot-version=0",
+                          "--snapshot-version=v2", "--snapshot-version="}) {
+    SCOPED_TRACE(bad);
+    const Cli cli = parse_args({bad});
+    EXPECT_FALSE(cli.flags_ok);
+    EXPECT_EQ(cli.require_valid(), 2);
+  }
+  EXPECT_EQ(parse_args({"--snapshot-version=2"}).require_valid(), 0);
 }
 
 TEST(CliExamples, CreatesMissingOutDir) {
@@ -43,7 +65,7 @@ TEST(CliExamples, CreatesMissingOutDir) {
                           std::to_string(reinterpret_cast<std::uintptr_t>(&dir));
   const Cli cli = parse_args({"--out-dir=" + dir + "/nested"});
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_EQ(cli.require_valid(), 0);
   EXPECT_TRUE(std::filesystem::is_directory(dir + "/nested"));
   EXPECT_EQ(cli.path("x.tsv"), dir + "/nested/x.tsv");
   std::filesystem::remove_all(dir);
@@ -52,14 +74,14 @@ TEST(CliExamples, CreatesMissingOutDir) {
 TEST(CliExamples, ExistingOutDirIsAccepted) {
   const Cli cli = parse_args({"--out-dir=" + std::string{::testing::TempDir()}});
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_EQ(cli.require_valid(), 0);
 }
 
 TEST(CliExamples, UncreatableOutDirFailsLoudly) {
   // /dev/null is a file, so a directory can never be created beneath it.
   const Cli cli = parse_args({"--out-dir=/dev/null/sub"});
   EXPECT_FALSE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 2);
+  EXPECT_EQ(cli.require_valid(), 2);
 }
 
 TEST(CliExamples, EmptyOutDirFallsBackToDot) {

@@ -1,7 +1,7 @@
 // Tests for the MAC-keyed spill-run format (corpus/keyed_run.h): roundtrip
 // fidelity, trailer-directory validation, block-stat skipping, and the
 // corrupt-input hard line. Suite names start with "Join" so the TSan leg of
-// scripts/check.sh picks them up via `ctest -R '^(Engine|Pipeline|Serve|Join)'`.
+// scripts/check.sh picks them up via `ctest -R '^(Engine|Serve|Join)'`.
 
 #include "corpus/keyed_run.h"
 

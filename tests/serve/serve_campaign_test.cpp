@@ -1,6 +1,5 @@
 // Campaign integration for the serve sink: the ServeTable a campaign
-// maintains must answer identically under the barrier and streamed
-// schedulers, match a fresh fused rebuild of the whole campaign corpus,
+// maintains must match a fresh fused rebuild of the whole campaign corpus
 // and survive kill+resume — a campaign resumed from its checkpoint chain
 // re-applies the restored days as deltas and then serves exactly what an
 // uninterrupted run serves.
@@ -66,36 +65,6 @@ void expect_same_version(const TableVersion& a, const TableVersion& b) {
   EXPECT_EQ(a.prev_window.map(), b.prev_window.map());
 }
 
-TEST(ServeCampaign, BarrierAndPipelineServeIdentically) {
-  const unsigned days = 4;
-  std::shared_ptr<const TableVersion> versions[2];
-  core::ObservationStore corpora[2];
-  for (const bool pipeline : {false, true}) {
-    CampaignFixture f;
-    ServeOptions serve_options;
-    serve_options.bgp = &f.world.internet.bgp();
-    serve_options.threads = kTsan ? 8 : 4;
-    serve_options.oversubscribe = true;
-    ServeTable table{serve_options};
-
-    core::CampaignOptions options;
-    options.days = days;
-    options.threads = kTsan ? 8 : 4;
-    options.oversubscribe = true;
-    options.pipeline = pipeline;
-    options.serve = &table;
-    auto result = run_campaign(f.world.internet, f.clock, f.prober,
-                               f.targets, options);
-    ASSERT_EQ(table.versions_published(), days);
-    versions[pipeline ? 1 : 0] = table.current();
-    corpora[pipeline ? 1 : 0] = std::move(result.observations);
-  }
-  ASSERT_NE(versions[0], nullptr);
-  ASSERT_NE(versions[1], nullptr);
-  ASSERT_EQ(corpora[0].size(), corpora[1].size());
-  expect_same_version(*versions[0], *versions[1]);
-}
-
 TEST(ServeCampaign, MaintainedTableMatchesFreshRebuildOfCorpus) {
   CampaignFixture f;
   ServeOptions serve_options;
@@ -148,8 +117,8 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
 
   // Killed run: only kill_after days complete (modeling the ServeTable
   // dying with the process), then a resumed run with a FRESH ServeTable
-  // replays the chain and finishes the remaining days — streamed, at a
-  // different thread count, to stack the determinism contracts.
+  // replays the chain and finishes the remaining days at a different
+  // thread count, to stack the determinism contracts.
   TempDir dir{"resumed"};
   {
     CampaignFixture f;
@@ -176,7 +145,6 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
   options.days = days;
   options.threads = kTsan ? 8 : 4;
   options.oversubscribe = true;
-  options.pipeline = true;
   options.checkpoint_dir = dir.path;
   options.serve = &table;
   const auto result = run_campaign(f.world.internet, f.clock, f.prober,

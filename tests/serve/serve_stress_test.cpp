@@ -1,5 +1,5 @@
 // Reader/writer stress for the epoch-slot publication rail — the suite
-// the TSan leg of scripts/check.sh runs (`ctest -R '^(Engine|Pipeline|Serve)'`
+// the TSan leg of scripts/check.sh runs (`ctest -R '^(Engine|Serve|Join)'`
 // under -fsanitize=thread). One writer publishes enough versions to lap
 // the 8-slot ring many times while reader threads continuously pin the
 // current version, run derive reports against it, and deliberately hold
