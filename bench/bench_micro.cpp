@@ -852,9 +852,10 @@ bool check_corpus_guards(BenchReport& report) {
     auto start = std::chrono::steady_clock::now();
     corpus::SnapshotWriter writer;
     writer.append(store);
-    io_ok = writer.write(snap_path) && io_ok;
+    const std::optional<std::uint64_t> written = writer.write(snap_path);
+    io_ok = written && io_ok;
     save_rate = std::max(save_rate, kRows / seconds_since(start));
-    file_bytes = writer.encoded_size();
+    file_bytes = written.value_or(0);
 
     start = std::chrono::steady_clock::now();
     corpus::SnapshotReader reader;
@@ -983,25 +984,24 @@ bool check_snapshot_v2_guards(BenchReport& report) {
   core::ObservationStore store;
   for (const auto& obs : stream) store.add(obs);
 
-  // The v1 baseline needs no file: the frozen layout's size is a closed
-  // form of the row/pair counts.
-  corpus::SnapshotWriter v1_writer;
-  v1_writer.set_format_version(corpus::kSnapshotFormatV1);
-  v1_writer.append(store);
-  const std::uint64_t v1_bytes = v1_writer.encoded_size();
-
   const std::string path = bench_tmp_path("scent_bench_snapshot_v2.snap");
   bool io_ok = true;
   corpus::SnapshotWriter writer;
   writer.set_threads(0);  // hardware concurrency
   writer.append(store);
   double save_rate = 0;
+  std::uint64_t v2_bytes = 0;
   for (int trial = 0; trial < 3; ++trial) {  // best-of-3
     const auto start = std::chrono::steady_clock::now();
-    io_ok = writer.write(path) && io_ok;
+    const std::optional<std::uint64_t> written = writer.write(path);
     save_rate = std::max(save_rate, kRows / seconds_since(start));
+    io_ok = written && io_ok;
+    v2_bytes = written.value_or(0);
   }
-  const std::uint64_t v2_bytes = writer.encoded_size();
+  // The v1 baseline needs no file: the frozen layout's size is a closed
+  // form of the row/pair counts (148 B header + 42 B/row + 32 B/pair).
+  const std::uint64_t v1_bytes =
+      148 + std::uint64_t{kRows} * 42 + writer.eui_pair_count() * 32;
 
   // Lazy load: the four row columns, no store replay (read_store is the
   // corpus guard's metric; this one isolates decode + I/O).

@@ -9,10 +9,6 @@
 // Flags:
 //   --out-dir=DIR         checkpoint directory (required in practice)
 //   --threads=N           sweep shards (0 = hardware concurrency)
-//   --snapshot-version=V  on-disk snapshot format for the day snapshots:
-//                         2 (default, block-compressed) or 1 (frozen v1).
-//                         Resume auto-detects per file, so a chain may mix
-//                         versions across kills
 //   --days=N              campaign length (default 6)
 //   --kill-after-day=K    simulate a crash: exit hard with status 42 (no
 //                         cleanup, like a kill -9) right after day K
@@ -23,13 +19,15 @@
 //                         replay it from scratch
 //   --digest-only         print only the final corpus digest (for scripts)
 //
+// Day snapshots are written as format v2. Resume reads v1 or v2 per file,
+// so a chain holding v1 days from an older build still resumes.
+//
 // The digest folds every observation column, every day summary, and the
 // inferred allocation map into one 64-bit value, so two runs printing the
 // same digest ran byte-identical campaigns.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/campaign.h"
 #include "probe/prober.h"
@@ -72,23 +70,17 @@ std::uint64_t campaign_digest(const core::CampaignResult& result) {
 int main(int argc, char** argv) {
   using namespace scent;
 
-  const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_valid()) return rc;
+  examples::Cli cli = examples::Cli::parse(
+      argc, argv,
+      {"--days=", "--kill-after-day=", "--kill-mid-day=", "--digest-only"});
   unsigned days = 6;
   long kill_after_day = -1;
   long kill_mid_day = -1;
-  bool digest_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--kill-after-day=", 17) == 0) {
-      kill_after_day = std::strtol(argv[i] + 17, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--kill-mid-day=", 15) == 0) {
-      kill_mid_day = std::strtol(argv[i] + 15, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--digest-only") == 0) {
-      digest_only = true;
-    }
-  }
+  cli.read("--days=", days);
+  cli.read("--kill-after-day=", kill_after_day);
+  cli.read("--kill-mid-day=", kill_mid_day);
+  const bool digest_only = cli.has("--digest-only");
+  if (const int rc = cli.require_valid()) return rc;
 
   // The same world every run: resume only works because the campaign is a
   // deterministic function of (world seed, campaign seed, clock schedule).
@@ -116,7 +108,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
   options.journal = &journal;
@@ -169,15 +160,15 @@ int main(int argc, char** argv) {
               result.observations.size());
   std::printf("corpus digest: %016llx\n",
               static_cast<unsigned long long>(digest));
-  // The persistence funnel: what this run wrote (v-version snapshots, total
+  // The persistence funnel: what this run wrote (v2 snapshots, total
   // on-disk bytes) and what the resume replay read (v2 block skip counters;
   // both zero for an unresumed run or an all-v1 chain).
   const std::uint64_t snap_bytes = static_cast<std::uint64_t>(
       registry.gauge("corpus.snapshot_bytes").value());
   const unsigned written_days = days - result.resumed_days;
-  std::printf("snapshot funnel: v%u x %u days, %llu bytes on disk (%llu "
+  std::printf("snapshot funnel: v2 x %u days, %llu bytes on disk (%llu "
               "B/day), replay blocks read/skipped: %lld/%lld\n",
-              cli.snapshot_version, written_days,
+              written_days,
               static_cast<unsigned long long>(snap_bytes),
               static_cast<unsigned long long>(
                   written_days > 0 ? snap_bytes / written_days : 0),

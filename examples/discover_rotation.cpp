@@ -4,6 +4,10 @@
 // every stage: traceroute seeding, /48 expansion, density classification,
 // and two-snapshot rotation detection — ending with the per-AS rotator
 // table an attacker would use to pick targets.
+//
+// Flags: the shared ones (example_util.h). The funnel's outputs land in
+// --out-dir: rotating_48s.txt and the bootstrap corpus as bootstrap.snap
+// (snapshot format v2).
 
 #include <cstdio>
 #include <iostream>
@@ -108,27 +112,24 @@ int main(int argc, char** argv) {
 
   // Persist the funnel's outputs: the rotating /48 target list as text
   // (greppable) and the bootstrap corpus as a binary snapshot (the default
-  // persistence format — block-compressed v2 unless --snapshot-version=1
-  // asks for the frozen 42 B/row layout; both checksummed).
+  // persistence format: block-compressed, checksummed v2).
   const std::string prefixes_path = cli.path("rotating_48s.txt");
   if (core::save_prefixes(prefixes_path, funnel.rotating_48s,
                           "rotating /48s discovered by the funnel")) {
     std::printf("\n  rotating /48s: %s\n", prefixes_path.c_str());
   }
   corpus::SnapshotWriter snapshot;
-  snapshot.set_format_version(cli.snapshot_version);
   snapshot.set_threads(threads);
   snapshot.append(funnel.observations);
   const std::string snapshot_path = cli.path("bootstrap.snap");
-  if (snapshot.write(snapshot_path)) {
-    std::printf("  corpus snapshot: %s (v%u, %llu rows, %llu bytes on disk)\n",
-                snapshot_path.c_str(), cli.snapshot_version,
+  if (const auto bytes = snapshot.write(snapshot_path)) {
+    std::printf("  corpus snapshot: %s (v2, %llu rows, %llu bytes on disk)\n",
+                snapshot_path.c_str(),
                 static_cast<unsigned long long>(snapshot.rows()),
-                static_cast<unsigned long long>(snapshot.encoded_size()));
-    // Windowed re-read of the middle third of the corpus: with a v2 file
-    // the reader decodes only the blocks overlapping the row window and
-    // skips the rest — the predicate ChainInput scans lean on. (v1 has no
-    // blocks; both counters print 0.)
+                static_cast<unsigned long long>(*bytes));
+    // Windowed re-read of the middle third of the corpus: the reader
+    // decodes only the blocks overlapping the row window and skips the
+    // rest — the predicate ChainInput scans lean on.
     corpus::SnapshotReader reread;
     std::vector<net::Ipv6Address> window;
     if (reread.open(snapshot_path) &&

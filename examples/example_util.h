@@ -3,27 +3,30 @@
 // The shared flags, parsed identically everywhere:
 //   --threads=N      worker shards for engine-backed sweeps (0 = hardware
 //                    concurrency); bit-identical results at any value.
-//   --snapshot-version=V  on-disk snapshot format for examples that write
-//                    snapshots: 2 (default, block-compressed) or 1 (the
-//                    frozen uncompressed layout). Readers auto-detect.
 //   --out-dir=DIR    where journals, snapshots and other artifacts land
 //                    (created if needed; default "." — never a hardcoded
 //                    file name in the repo root).
 //   --trace-out=FILE write a Chrome trace-event JSON timeline of the run
 //                    (open in https://ui.perfetto.dev or chrome://tracing).
 //
-// A --threads value that is not a plain decimal number, a
-// --snapshot-version other than 1 or 2, or an --out-dir that cannot be
-// created is a usage error: main() exits 2 before doing any work.
+// Each example passes its own flag names to Cli::parse and reads their
+// values through Cli::read, which accepts plain decimal numbers only.
+// Snapshots are always written in format v2 (corpus/snapshot.h).
+//
+// A flag value that is not a plain decimal number, a "--" argument that is
+// neither a shared flag nor one of the example's own, or an --out-dir that
+// cannot be created is a usage error: main() exits 2 before doing any work.
 #pragma once
 
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <vector>
 
 #include "trace/chrome_export.h"
 #include "trace/recorder.h"
@@ -32,37 +35,38 @@ namespace scent::examples {
 
 struct Cli {
   unsigned threads = 1;
-  unsigned snapshot_version = 2;
   std::string out_dir = ".";
   bool out_dir_ok = true;  ///< False when --out-dir could not be created.
-  bool flags_ok = true;    ///< False when a shared flag's value is invalid.
+  bool flags_ok = true;    ///< False on an unknown flag or invalid value.
   std::string trace_out;   ///< Empty = tracing off.
 
-  /// Parses the shared flags; unrecognized arguments are left for the
-  /// example's own parsing.
-  static Cli parse(int argc, char** argv) {
+  /// Parses the shared flags. `own_flags` names the example's own flags:
+  /// a name ending in '=' takes a value (read it with read()), any other
+  /// is a switch (test it with has()). Every other "--" argument is an
+  /// unknown flag. The Cli keeps views into `argv`, which must outlive it.
+  static Cli parse(int argc, char** argv,
+                   std::initializer_list<std::string_view> own_flags = {}) {
     Cli cli;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        if (!parse_unsigned(argv[i] + 10, cli.threads)) {
+      const std::string_view arg = argv[i];
+      if (arg.starts_with("--threads=")) {
+        if (!parse_decimal(arg.substr(10), cli.threads)) {
           std::fprintf(stderr, "error: %s is not a thread count\n", argv[i]);
           cli.flags_ok = false;
         }
-      } else if (std::strncmp(argv[i], "--snapshot-version=", 19) == 0) {
-        if (!parse_unsigned(argv[i] + 19, cli.snapshot_version) ||
-            cli.snapshot_version < 1 || cli.snapshot_version > 2) {
-          std::fprintf(stderr,
-                       "error: %s is not a snapshot format (1 or 2)\n",
-                       argv[i]);
-          cli.flags_ok = false;
-        }
-      } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
+      } else if (arg.starts_with("--out-dir=")) {
         cli.out_dir = argv[i] + 10;
-      } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
+      } else if (arg.starts_with("--trace-out=")) {
         cli.trace_out = argv[i] + 12;
+      } else if (is_own_flag(arg, own_flags)) {
+        cli.own_args_.push_back(arg);
+      } else if (arg.starts_with("--")) {
+        std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+        cli.flags_ok = false;
       }
     }
-    if (cli.out_dir.empty()) cli.out_dir = ".";
+    // push_back, not = ".": GCC 12 flags a false -Wrestrict on that.
+    if (cli.out_dir.empty()) cli.out_dir.push_back('.');
     if (cli.out_dir != ".") {
       std::error_code ec;
       std::filesystem::create_directories(cli.out_dir, ec);
@@ -79,8 +83,32 @@ struct Cli {
     return cli;
   }
 
-  /// Exit status 2 for an unusable --out-dir or an invalid shared flag
-  /// value, else 0. Call first in main():
+  /// True when the switch `flag` (e.g. "--digest-only") was given.
+  [[nodiscard]] bool has(std::string_view flag) const {
+    for (const std::string_view arg : own_args_) {
+      if (arg == flag) return true;
+    }
+    return false;
+  }
+
+  /// Stores the value of the example flag `flag` (e.g. "--days=") in
+  /// `out`, the last occurrence winning; `out` keeps its default when the
+  /// flag is absent. A value that is not a decimal number fitting T (a
+  /// leading '-' only for signed T) is a usage error.
+  template <typename T>
+  void read(std::string_view flag, T& out) {
+    for (const std::string_view arg : own_args_) {
+      if (!arg.starts_with(flag)) continue;
+      if (!parse_decimal(arg.substr(flag.size()), out)) {
+        std::fprintf(stderr, "error: %.*s is not a number\n",
+                     static_cast<int>(arg.size()), arg.data());
+        flags_ok = false;
+      }
+    }
+  }
+
+  /// Exit status 2 for an unusable --out-dir or an invalid flag, else 0.
+  /// Call after the last read(), before doing any work:
   ///   if (int rc = cli.require_valid()) return rc;
   [[nodiscard]] int require_valid() const noexcept {
     return out_dir_ok && flags_ok ? 0 : 2;
@@ -92,10 +120,25 @@ struct Cli {
   }
 
  private:
-  /// Strict decimal parse: digits only, nonempty, fits in unsigned.
-  static bool parse_unsigned(const char* text, unsigned& out) {
-    const char* end = text + std::strlen(text);
-    const auto [stop, ec] = std::from_chars(text, end, out);
+  /// The example's own arguments, in command-line order.
+  std::vector<std::string_view> own_args_;
+
+  static bool is_own_flag(std::string_view arg,
+                          std::initializer_list<std::string_view> own_flags) {
+    for (const std::string_view flag : own_flags) {
+      if (flag.ends_with('=') ? arg.starts_with(flag) : arg == flag) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Strict decimal parse: digits (and, for signed T, one leading '-')
+  /// only, nonempty, fits in T.
+  template <typename T>
+  static bool parse_decimal(std::string_view text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, out);
     return ec == std::errc{} && stop == end;
   }
 };

@@ -24,8 +24,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -68,22 +66,15 @@ std::uint64_t network_of(std::uint64_t device, std::int64_t day,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_valid()) return rc;
-
+  examples::Cli cli = examples::Cli::parse(
+      argc, argv, {"--days=", "--devices=", "--partitions="});
   std::int64_t days = 6;
   std::uint64_t devices = 4096;
   unsigned partitions = 8;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = std::strtol(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-      devices = std::strtoull(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--partitions=", 13) == 0) {
-      partitions = static_cast<unsigned>(
-          std::strtoul(argv[i] + 13, nullptr, 10));
-    }
-  }
+  cli.read("--days=", days);
+  cli.read("--devices=", devices);
+  cli.read("--partitions=", partitions);
+  if (const int rc = cli.require_valid()) return rc;
   if (days < 1) days = 1;
   if (devices < 1) devices = 1;
 

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -94,24 +93,17 @@ std::uint64_t version_digest(const serve::TableVersion& v) {
 int main(int argc, char** argv) {
   using namespace scent;
 
-  const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_valid()) return rc;
+  examples::Cli cli = examples::Cli::parse(
+      argc, argv,
+      {"--days=", "--query-threads=", "--kill-after-day=", "--digest-only"});
   unsigned days = 6;
   unsigned query_threads = 2;
   long kill_after_day = -1;
-  bool digest_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--query-threads=", 16) == 0) {
-      query_threads =
-          static_cast<unsigned>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--kill-after-day=", 17) == 0) {
-      kill_after_day = std::strtol(argv[i] + 17, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--digest-only") == 0) {
-      digest_only = true;
-    }
-  }
+  cli.read("--days=", days);
+  cli.read("--query-threads=", query_threads);
+  cli.read("--kill-after-day=", kill_after_day);
+  const bool digest_only = cli.has("--digest-only");
+  if (const int rc = cli.require_valid()) return rc;
 
   sim::PaperWorld world = sim::make_tiny_world(0xC4A1, 48);
   sim::VirtualClock clock{sim::hours(10)};
@@ -177,7 +169,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
   options.trace = trace_sink.collector();

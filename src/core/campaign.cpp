@@ -61,8 +61,10 @@ struct ResumeState {
 };
 
 /// Replays a prior checkpoint into `result`. Returns nullopt — with
-/// `result` reset — if the manifest is incompatible with `options` or any
-/// snapshot in the chain fails to load; the caller then starts over.
+/// `result` reset — if the manifest is incompatible with `options`, a day
+/// record is not the one the campaign writes for its ordinal (file name,
+/// absolute day), or any snapshot in the chain fails to load; the caller
+/// then starts over.
 std::optional<ResumeState> replay_checkpoint(
     const corpus::CampaignCheckpoint& prior, const CampaignOptions& options,
     std::uint64_t digest, CampaignResult& result,
@@ -84,6 +86,14 @@ std::optional<ResumeState> replay_checkpoint(
   state.first_day = prior.first_day;
   for (unsigned day = 0; day < replay; ++day) {
     const corpus::CheckpointDay& record = prior.days[day];
+    // The manifest is untrusted input: only ever open the file the writer
+    // names for this ordinal (never a path escaping the directory), and
+    // only accept the day it dates it.
+    if (record.snapshot_file != corpus::snapshot_file_name(day) ||
+        record.day != prior.first_day + day) {
+      result = CampaignResult{};
+      return std::nullopt;
+    }
     corpus::SnapshotReader reader;
     reader.set_trace(recorder, read_sketch);
     // Replay is a full-corpus load; fan v2 block decode across the sweep
@@ -272,7 +282,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     }
 
     corpus::SnapshotWriter day_snapshot;
-    day_snapshot.set_format_version(options.snapshot_version);
     // Block compression fans across the sweep worker count; the emitted
     // bytes are identical at any value (the v2 determinism contract).
     day_snapshot.set_threads(options.threads);
@@ -365,9 +374,11 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
 
       const std::string snap_path =
           options.checkpoint_dir + "/" + record.snapshot_file;
-      bool saved = day_snapshot.write(snap_path);
+      const std::optional<std::uint64_t> written =
+          day_snapshot.write(snap_path);
+      bool saved = written.has_value();
       if (saved) {
-        snapshot_bytes += day_snapshot.encoded_size();
+        snapshot_bytes += *written;
         manifest.days.push_back(std::move(record));
         saved = corpus::save_checkpoint(options.checkpoint_dir, manifest);
       }

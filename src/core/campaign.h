@@ -62,14 +62,10 @@ struct CampaignOptions {
   /// bit-identical to an uninterrupted run at any thread count — the §5d
   /// determinism contract extended across process boundaries (§5f). An
   /// incompatible or corrupt checkpoint is discarded (journaled as such)
-  /// and the campaign starts over.
+  /// and the campaign starts over. Day snapshots are written as format v2;
+  /// replay reads either version per file, so a chain holding v1 days
+  /// still resumes and extends.
   std::string checkpoint_dir;
-
-  /// Snapshot format for the day snapshots this run writes: 2 (default,
-  /// block-compressed) or 1 (the frozen uncompressed layout). Resume is
-  /// version-agnostic — the reader auto-detects per file — so a chain may
-  /// mix versions across a resume (e.g. old v1 days + new v2 days).
-  std::uint32_t snapshot_version = 2;
 
   /// Optional telemetry sinks. With a registry, every day runs under
   /// nested spans ("campaign/day/sweep", ".../ingest", ".../alloc_infer")

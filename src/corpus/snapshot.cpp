@@ -15,8 +15,8 @@ constexpr char kMagic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kSectionCount = 5;
 /// Fixed header (24) + section table (24 per section) + header CRC (4).
 constexpr std::uint64_t kHeaderSize = 24 + kSectionCount * 24 + 4;
-/// Chunk size for streamed v1 encode/decode. A multiple of every element
-/// width (16, 2, 8, 32), so elements never straddle chunk boundaries.
+/// Chunk size for streamed v1 decode. A multiple of every element width
+/// (16, 2, 8, 32), so elements never straddle chunk boundaries.
 constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
 /// v2 block-directory entry: payload offset (8) + element count (4) +
 /// payload bytes (4) + payload CRC (4) + min/max stats (8 + 8).
@@ -48,11 +48,6 @@ struct File {
   }
 };
 
-void store_u16(unsigned char* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<unsigned char>(v & 0xff);
-  p[1] = static_cast<unsigned char>(v >> 8);
-}
-
 void store_u32(unsigned char* p, std::uint32_t v) noexcept {
   for (int i = 0; i < 4; ++i) {
     p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
@@ -82,11 +77,6 @@ void store_u64(unsigned char* p, std::uint64_t v) noexcept {
   return v;
 }
 
-void store_address(unsigned char* p, net::Ipv6Address a) noexcept {
-  store_u64(p, a.network());
-  store_u64(p + 8, a.iid());
-}
-
 [[nodiscard]] net::Ipv6Address load_address(const unsigned char* p) noexcept {
   return net::Ipv6Address{load_u64(p), load_u64(p + 8)};
 }
@@ -106,33 +96,6 @@ void store_address(unsigned char* p, net::Ipv6Address a) noexcept {
       return 0;
   }
 }
-
-/// Accumulates encoded bytes and hands out full chunks (v1 write path).
-template <typename Emit>
-class ChunkBuffer {
- public:
-  explicit ChunkBuffer(Emit& emit) : emit_(emit) { buf_.resize(kChunkBytes); }
-
-  /// Returns a pointer to `n` writable bytes, flushing first if needed.
-  [[nodiscard]] unsigned char* grab(std::size_t n) {
-    if (used_ + n > buf_.size()) flush();
-    unsigned char* p = buf_.data() + used_;
-    used_ += n;
-    return p;
-  }
-
-  void flush() {
-    if (used_ > 0) {
-      emit_(buf_.data(), used_);
-      used_ = 0;
-    }
-  }
-
- private:
-  Emit& emit_;
-  std::vector<unsigned char> buf_;
-  std::size_t used_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // v2 per-column block codecs (DESIGN.md §5j). Every encoder appends one
@@ -330,7 +293,6 @@ void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
   type_codes_.push_back(type_code);
   times_.push_back(time);
   if (net::is_eui64(response)) eui_pairs_[target] = response;
-  cached_v2_size_.reset();
 }
 
 void SnapshotWriter::append(const core::ObservationStore& store) {
@@ -345,7 +307,6 @@ void SnapshotWriter::append(const core::ObservationStore& store) {
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (net::is_eui64(responses[i])) eui_pairs_[targets[i]] = responses[i];
   }
-  cached_v2_size_.reset();
 }
 
 void SnapshotWriter::append(const core::ObservationStore::View& view) {
@@ -360,43 +321,6 @@ void SnapshotWriter::clear() {
   type_codes_.clear();
   times_.clear();
   eui_pairs_.clear();
-  cached_v2_size_.reset();
-}
-
-void SnapshotWriter::set_format_version(std::uint32_t version) noexcept {
-  if (version != kSnapshotFormatV1 && version != kSnapshotFormatV2) return;
-  version_ = version;
-}
-
-template <typename Emit>
-void SnapshotWriter::emit_section(std::uint32_t id, Emit&& emit) const {
-  ChunkBuffer<Emit> out{emit};
-  switch (id) {
-    case 1:
-      for (const auto a : targets_) store_address(out.grab(16), a);
-      break;
-    case 2:
-      for (const auto a : responses_) store_address(out.grab(16), a);
-      break;
-    case 3:
-      for (const auto tc : type_codes_) store_u16(out.grab(2), tc);
-      break;
-    case 4:
-      for (const auto t : times_) {
-        store_u64(out.grab(8), static_cast<std::uint64_t>(t));
-      }
-      break;
-    case 5:
-      for (const auto& [target, response] : eui_pairs_) {
-        unsigned char* p = out.grab(32);
-        store_address(p, target);
-        store_address(p + 16, response);
-      }
-      break;
-    default:
-      break;
-  }
-  out.flush();
 }
 
 /// One fully encoded v2 file, minus the fixed header: per-section block
@@ -520,104 +444,32 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
   }
 }
 
-namespace {
-
-/// Assembles the shared fixed header + section table + header CRC.
-std::vector<unsigned char> build_header(
-    std::uint32_t version, std::uint64_t rows,
-    const std::uint64_t (&sizes)[kSectionCount],
-    const std::uint32_t (&crcs)[kSectionCount]) {
-  std::vector<unsigned char> header(kHeaderSize);
-  std::memcpy(header.data(), kMagic, sizeof kMagic);
-  store_u32(header.data() + 8, version);
-  store_u64(header.data() + 12, rows);
-  store_u32(header.data() + 20, kSectionCount);
-  std::uint64_t offset = kHeaderSize;
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    unsigned char* entry = header.data() + 24 + (id - 1) * 24;
-    store_u32(entry, id);
-    store_u64(entry + 4, offset);
-    store_u64(entry + 12, sizes[id - 1]);
-    store_u32(entry + 20, crcs[id - 1]);
-    offset += sizes[id - 1];
-  }
-  store_u32(header.data() + kHeaderSize - 4,
-            crc32c(header.data(), kHeaderSize - 4));
-  return header;
-}
-
-}  // namespace
-
-std::uint64_t SnapshotWriter::encoded_size() const {
-  if (version_ == kSnapshotFormatV1) {
-    const std::uint64_t n = rows();
-    return kHeaderSize + n * (16 + 16 + 2 + 8) + eui_pairs_.size() * 32;
-  }
-  if (!cached_v2_size_.has_value()) {
-    EncodedV2 encoded;
-    encode_v2(encoded);
-    cached_v2_size_ = encoded.total_size;
-  }
-  return *cached_v2_size_;
-}
-
-bool SnapshotWriter::write(const std::string& path) const {
-  return version_ == kSnapshotFormatV1 ? write_v1(path) : write_v2(path);
-}
-
-bool SnapshotWriter::write_v1(const std::string& path) const {
-  File file{path, "wb"};
-  if (!file) return false;
-
-  const std::uint64_t n = rows();
-  const std::uint64_t sizes[kSectionCount] = {n * 16, n * 16, n * 2, n * 8,
-                                              eui_pairs_.size() * 32};
-
-  // First pass: section CRCs from the in-memory columns (encode is cheap;
-  // this keeps the write itself strictly sequential — no seek-back).
-  std::uint32_t crcs[kSectionCount];
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    Crc32c crc;
-    emit_section(id, [&crc](const unsigned char* p, std::size_t len) {
-      crc.update(p, len);
-    });
-    crcs[id - 1] = crc.value();
-  }
-
-  const std::vector<unsigned char> header =
-      build_header(kSnapshotFormatV1, n, sizes, crcs);
-  bool ok =
-      std::fwrite(header.data(), 1, header.size(), file.handle) ==
-      header.size();
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                     "snapshot.section_write"};
-    emit_section(id, [&](const unsigned char* p, std::size_t len) {
-      ok = std::fwrite(p, 1, len, file.handle) == len && ok;
-    });
-  }
-  return file.close() && ok;
-}
-
-bool SnapshotWriter::write_v2(const std::string& path) const {
+std::optional<std::uint64_t> SnapshotWriter::write(
+    const std::string& path) const {
   EncodedV2 encoded;
   encode_v2(encoded);
-  cached_v2_size_ = encoded.total_size;
 
   File file{path, "wb"};
-  if (!file) return false;
+  if (!file) return std::nullopt;
 
-  std::uint64_t sizes[kSectionCount];
-  std::uint32_t crcs[kSectionCount];
+  // Fixed header + section table + header CRC.
+  unsigned char header[kHeaderSize];
+  std::memcpy(header, kMagic, sizeof kMagic);
+  store_u32(header + 8, kSnapshotFormatV2);
+  store_u64(header + 12, rows());
+  store_u32(header + 20, kSectionCount);
+  std::uint64_t offset = kHeaderSize;
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    sizes[s] = encoded.sizes[s];
-    crcs[s] = encoded.dir_crcs[s];
+    unsigned char* entry = header + 24 + s * 24;
+    store_u32(entry, s + 1);
+    store_u64(entry + 4, offset);
+    store_u64(entry + 12, encoded.sizes[s]);
+    store_u32(entry + 20, encoded.dir_crcs[s]);
+    offset += encoded.sizes[s];
   }
-  const std::vector<unsigned char> header =
-      build_header(kSnapshotFormatV2, rows(), sizes, crcs);
-  bool ok =
-      std::fwrite(header.data(), 1, header.size(), file.handle) ==
-      header.size();
+  store_u32(header + kHeaderSize - 4, crc32c(header, kHeaderSize - 4));
+
+  bool ok = std::fwrite(header, 1, kHeaderSize, file.handle) == kHeaderSize;
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
     const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
                                      "snapshot.section_write"};
@@ -631,7 +483,8 @@ bool SnapshotWriter::write_v2(const std::string& path) const {
            ok;
     }
   }
-  return file.close() && ok;
+  if (!file.close() || !ok) return std::nullopt;
+  return encoded.total_size;
 }
 
 SnapshotReader::~SnapshotReader() { close(); }

@@ -34,12 +34,12 @@
 // index from raw observations.
 //
 // v1 stores each section as its raw elements with one whole-section CRC;
-// the section-table crc field covers the payload. v1 is frozen: its layout
-// never changes again, writers can still emit it (set_format_version(1)),
-// and readers accept it forever — checkpoint chains may mix versions across
-// a resume.
+// the section-table crc field covers the payload. v1 is read-only: its
+// layout never changes again, SnapshotWriter never emits it, and readers
+// accept it forever — a checkpoint chain started with v1 days resumes and
+// extends with v2 days.
 //
-// v2 (the default) block-compresses every section. A section payload is a
+// v2, the only format SnapshotWriter emits, block-compresses every section. A section payload is a
 // block directory followed by independently decodable blocks of up to 64Ki
 // elements:
 //
@@ -87,8 +87,6 @@ namespace scent::corpus {
 
 inline constexpr std::uint32_t kSnapshotFormatV1 = 1;
 inline constexpr std::uint32_t kSnapshotFormatV2 = 2;
-/// What SnapshotWriter emits unless told otherwise.
-inline constexpr std::uint32_t kSnapshotDefaultFormat = kSnapshotFormatV2;
 /// Elements per v2 block — the skip/parallelism granule.
 inline constexpr std::size_t kSnapshotBlockElements = std::size_t{1} << 16;
 
@@ -108,8 +106,8 @@ enum class SnapshotError {
 
 [[nodiscard]] const char* to_string(SnapshotError error) noexcept;
 
-/// Accumulates observations and writes them as one snapshot file. Rows can
-/// arrive one at a time, as whole stores (column-copy fast path), or as
+/// Accumulates observations and writes them as one v2 snapshot file. Rows
+/// can arrive one at a time, as whole stores (column-copy fast path), or as
 /// store Views (the engine's per-shard slices).
 class SnapshotWriter {
  public:
@@ -129,14 +127,6 @@ class SnapshotWriter {
   /// Row-wise append of a store window (e.g. one sweep unit's slice).
   void append(const core::ObservationStore::View& view);
 
-  /// Output format: kSnapshotFormatV2 (default) or kSnapshotFormatV1 (the
-  /// frozen layout, kept for fixtures and mixed-version chains). Any other
-  /// value is ignored.
-  void set_format_version(std::uint32_t version) noexcept;
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return version_;
-  }
-
   /// Worker threads for v2 block compression (0 = hardware concurrency).
   /// Purely a wall-clock knob: the emitted bytes are identical at any
   /// value, because blocks are fixed row partitions encoded independently.
@@ -149,15 +139,11 @@ class SnapshotWriter {
     return eui_pairs_.size();
   }
 
-  /// Exact size in bytes of the file write() would produce for the current
-  /// contents. v1 is a closed-form function of the row/pair counts; v2
-  /// runs the (deterministic) encoder and caches the answer, so calling
-  /// this right after write() is free.
-  [[nodiscard]] std::uint64_t encoded_size() const;
-
-  /// Writes the snapshot. False on any I/O failure, including buffered
-  /// writes that only surface at flush/close time (disk full).
-  [[nodiscard]] bool write(const std::string& path) const;
+  /// Writes the snapshot and returns the file's size in bytes. nullopt on
+  /// any I/O failure, including buffered writes that only surface at
+  /// flush/close time (disk full).
+  [[nodiscard]] std::optional<std::uint64_t> write(
+      const std::string& path) const;
 
   /// Optional section-I/O instrumentation: write() brackets each section
   /// with begin/end events in `recorder` and observes the per-section
@@ -173,11 +159,6 @@ class SnapshotWriter {
  private:
   struct EncodedV2;  // defined in snapshot.cpp
 
-  template <typename Emit>
-  void emit_section(std::uint32_t id, Emit&& emit) const;
-
-  [[nodiscard]] bool write_v1(const std::string& path) const;
-  [[nodiscard]] bool write_v2(const std::string& path) const;
   void encode_v2(EncodedV2& out) const;
 
   std::vector<net::Ipv6Address> targets_;
@@ -188,10 +169,7 @@ class SnapshotWriter {
   /// rotation Snapshot semantics, precomputed).
   container::FlatMap<net::Ipv6Address, net::Ipv6Address, net::Ipv6AddressHash>
       eui_pairs_;
-  std::uint32_t version_ = kSnapshotDefaultFormat;
   unsigned threads_ = 1;
-  /// Cached v2 total size; invalidated by append/clear/version changes.
-  mutable std::optional<std::uint64_t> cached_v2_size_;
   trace::TraceRecorder* trace_recorder_ = nullptr;
   trace::QuantileSketch* trace_sketch_ = nullptr;
 };

@@ -1,7 +1,8 @@
 // Tests for checkpoint/resume campaigns (§5f): a run killed after day K
 // and resumed from its checkpoint directory must produce a corpus, result
 // and on-disk snapshot chain bit-identical to an uninterrupted run — at
-// any thread count — and a corrupt chain must be discarded, not trusted.
+// any thread count, and over v1 days written by an older build — and a
+// corrupt or forged chain must be discarded, not trusted.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 
 #include "core/campaign.h"
 #include "corpus/checkpoint.h"
+#include "corpus/snapshot.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
 
@@ -272,6 +274,87 @@ TEST(CampaignCheckpoint, ExtendingACompletedCampaign) {
   EXPECT_EQ(result.resumed_days, 2u);
   expect_same_result(expected, result);
   expect_same_chain(whole.path, dir.path, 5);
+}
+
+TEST(CampaignCheckpoint, ResumesOverCommittedV1Days) {
+  // A chain whose days 1 and 2 were written as format v1 by an older
+  // build, resumed and extended by the v2-only writer. The committed v1
+  // files were generated once from this fixture's campaign and are never
+  // regenerated: they pin that the reader still replays v1 days exactly.
+  TempDir whole{"v1_whole"};
+  TempDir mixed{"v1_mixed"};
+  CampaignFixture uninterrupted;
+  const auto expected = run(uninterrupted, 5, whole.path);
+
+  CampaignFixture first;
+  (void)run(first, 3, mixed.path);
+  for (const unsigned day : {1u, 2u}) {
+    const std::string name = corpus::snapshot_file_name(day);
+    std::filesystem::copy_file(
+        std::string{SCENT_TEST_DATA_DIR} + "/campaign_v1_" + name,
+        mixed.path + "/" + name,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+
+  CampaignFixture resumed;
+  const auto result = run(resumed, 5, mixed.path);
+  EXPECT_EQ(result.resumed_days, 3u);
+  expect_same_result(expected, result);
+  for (const unsigned day : {0u, 3u, 4u}) {
+    const std::string name = corpus::snapshot_file_name(day);
+    EXPECT_EQ(slurp(whole.path + "/" + name), slurp(mixed.path + "/" + name))
+        << name;
+  }
+  EXPECT_EQ(slurp(corpus::manifest_path(whole.path)),
+            slurp(corpus::manifest_path(mixed.path)));
+  for (const unsigned day : {1u, 2u}) {
+    corpus::SnapshotReader reader;
+    ASSERT_TRUE(reader.open(mixed.path + "/" + corpus::snapshot_file_name(day)))
+        << corpus::to_string(reader.error());
+    EXPECT_EQ(reader.version(), corpus::kSnapshotFormatV1);
+  }
+}
+
+TEST(CampaignCheckpoint, DayRecordsMustNameTheirOwnSnapshot) {
+  // The manifest is untrusted input. A day record naming any file other
+  // than the one the campaign writes for that ordinal — here a valid,
+  // row-count-matching snapshot one directory up — or dating it to another
+  // day discards the chain instead of resuming from it.
+  TempDir outer{"escape"};
+  const std::string dir = outer.path + "/chain";
+  std::filesystem::create_directories(dir);
+
+  CampaignFixture plain;
+  CampaignOptions options;
+  options.days = 2;
+  const auto expected = run_campaign(plain.world.internet, plain.clock,
+                                     plain.prober, plain.targets, options);
+
+  CampaignFixture first;
+  (void)run(first, 2, dir);
+  const std::string day0 = corpus::snapshot_file_name(0);
+  std::filesystem::rename(dir + "/" + day0, outer.path + "/" + day0);
+  auto manifest = corpus::load_checkpoint(dir);
+  ASSERT_TRUE(manifest.has_value());
+  manifest->days[0].snapshot_file = "../" + day0;
+  ASSERT_TRUE(corpus::save_checkpoint(dir, *manifest));
+
+  CampaignFixture escaped;
+  const auto from_escape = run(escaped, 2, dir);
+  EXPECT_EQ(from_escape.resumed_days, 0u);
+  expect_same_result(expected, from_escape);
+
+  // The fresh run rewrote a valid chain; now shift one record's day.
+  manifest = corpus::load_checkpoint(dir);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->days.size(), 2u);
+  manifest->days[1].day += 5;
+  ASSERT_TRUE(corpus::save_checkpoint(dir, *manifest));
+
+  CampaignFixture redated;
+  const auto from_redated = run(redated, 2, dir);
+  EXPECT_EQ(from_redated.resumed_days, 0u);
+  expect_same_result(expected, from_redated);
 }
 
 }  // namespace

@@ -47,6 +47,18 @@ void dump(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::fclose(f);
 }
 
+/// The committed v1 file (make_store(1000), never regenerated): every v1
+/// reader test starts from these bytes, since nothing writes v1 anymore.
+std::vector<unsigned char> v1_fixture_bytes() {
+  return slurp(std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap");
+}
+
+std::uint64_t load_u64(const std::vector<unsigned char>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 8; i-- > 0;) v = (v << 8) | b[at + i];
+  return v;
+}
+
 /// A store mixing EUI-64 and opaque responses, with repeats (so the
 /// EUI-pair dedup and the classification memo both get exercised).
 core::ObservationStore make_store(std::size_t rows) {
@@ -148,21 +160,6 @@ TEST(Snapshot, WriteReadRewriteIsByteStable) {
   rewriter.append(*loaded);
   ASSERT_TRUE(rewriter.write(second.path));
   EXPECT_EQ(slurp(first.path), slurp(second.path));
-}
-
-TEST(Snapshot, EncodedSizeMatchesFileAndLayout) {
-  // Pinned to the frozen v1 layout: 42 B/row of columns + 32 B per
-  // deduplicated EUI pair + the header, forever. (v2's encoded_size is
-  // exercised in snapshot_v2_test.cpp — it has no closed form.)
-  TempFile file{"size"};
-  const auto store = make_store(100);
-  SnapshotWriter writer;
-  writer.set_format_version(kSnapshotFormatV1);
-  writer.append(store);
-  ASSERT_TRUE(writer.write(file.path));
-  EXPECT_EQ(writer.encoded_size(), slurp(file.path).size());
-  EXPECT_EQ(writer.encoded_size(),
-            148u + 100u * 42u + writer.eui_pair_count() * 32u);
 }
 
 TEST(Snapshot, ViewAppendMatchesStoreAppend) {
@@ -332,25 +329,39 @@ TEST(SnapshotErrors, MissingFileIsOpenFailed) {
 }
 
 TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
+  // Both formats the reader accepts: a freshly written v2 file and the
+  // committed v1 fixture.
   TempFile file{"trunc"};
-  const auto store = make_store(64);
   SnapshotWriter writer;
-  writer.append(store);
+  writer.append(make_store(64));
   ASSERT_TRUE(writer.write(file.path));
-  const auto bytes = slurp(file.path);
-
-  // Cut points: empty file, mid-magic, mid-fixed-header, mid-table,
-  // header boundary minus one, mid-section, one byte short of complete.
-  const std::size_t cuts[] = {0, 4, 20, 60, 147, 200, bytes.size() - 1};
-  for (const std::size_t cut : cuts) {
-    TempFile chopped{"trunc_cut"};
-    dump(chopped.path,
-         std::vector<unsigned char>(bytes.begin(), bytes.begin() + cut));
-    SnapshotReader reader;
-    EXPECT_FALSE(reader.open(chopped.path)) << "cut at " << cut;
-    EXPECT_TRUE(reader.error() == SnapshotError::kTruncated ||
-                reader.error() == SnapshotError::kCorruptSection)
-        << "cut at " << cut << ": " << to_string(reader.error());
+  const std::vector<unsigned char> inputs[] = {slurp(file.path),
+                                               v1_fixture_bytes()};
+  for (const auto& bytes : inputs) {
+    ASSERT_GT(bytes.size(), 200u);
+    SCOPED_TRACE(testing::Message() << "format v" << unsigned{bytes[8]});
+    // Cut points: empty file, mid-magic, mid-fixed-header, mid-table,
+    // header boundary minus one, the start and middle of every section,
+    // one byte short of complete.
+    std::vector<std::size_t> cuts = {0, 4, 20, 60, 147, 200, bytes.size() - 1};
+    for (std::size_t k = 0; k < 5; ++k) {
+      const std::size_t entry = 24 + 24 * k;
+      const auto offset = static_cast<std::size_t>(load_u64(bytes, entry + 4));
+      const auto size = static_cast<std::size_t>(load_u64(bytes, entry + 12));
+      cuts.push_back(offset + 1);
+      cuts.push_back(offset + size / 2);
+    }
+    for (const std::size_t cut : cuts) {
+      ASSERT_LT(cut, bytes.size());
+      TempFile chopped{"trunc_cut"};
+      dump(chopped.path,
+           std::vector<unsigned char>(bytes.begin(), bytes.begin() + cut));
+      SnapshotReader reader;
+      EXPECT_FALSE(reader.open(chopped.path)) << "cut at " << cut;
+      EXPECT_TRUE(reader.error() == SnapshotError::kTruncated ||
+                  reader.error() == SnapshotError::kCorruptSection)
+          << "cut at " << cut << ": " << to_string(reader.error());
+    }
   }
 }
 
@@ -359,12 +370,8 @@ TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
   // v2 file that offset lands in the block directory, which open() itself
   // rejects — covered in snapshot_v2_test.cpp).
   TempFile file{"flip"};
-  const auto store = make_store(64);
-  SnapshotWriter writer;
-  writer.set_format_version(kSnapshotFormatV1);
-  writer.append(store);
-  ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
+  auto bytes = v1_fixture_bytes();
+  ASSERT_EQ(bytes[8], kSnapshotFormatV1);
 
   // Flip one byte inside the targets section (just past the header).
   bytes[160] ^= 0x40;
