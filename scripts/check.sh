@@ -25,6 +25,9 @@
 # kills an 8-thread run mid-day (--kill-mid-day, exit 43, nothing durable
 # for that day) and asserts the resume still converges on the 1-thread
 # digest and chain.
+# The bootstrap thread-count leg runs the §4 discovery funnel
+# (discover_rotation) at 1 and 4 threads and cmp's its rotating-/48 list
+# and bootstrap corpus snapshot byte for byte.
 # The serve leg (§5k) kills a campaign that is maintaining a live ServeTable
 # mid-chain, resumes it at a different thread count, and asserts the
 # resumed table's version digest — every maintained field plus both
@@ -199,9 +202,25 @@ for f in "$threads_tmp"/t1/day_*.snap "$threads_tmp/t1/manifest.txt"; do
 done
 echo "  mid-day kill (exit 43) + resume: digest $resumed, chain matches OK"
 
+echo "== bootstrap thread count: 1 vs 4 threads byte-identical funnel =="
+boot_tmp=$(mktemp -d)
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$threads_tmp" "$boot_tmp"' EXIT
+mkdir -p "$boot_tmp/t1" "$boot_tmp/t4"
+./build/examples/discover_rotation --threads=1 --out-dir="$boot_tmp/t1" \
+  >/dev/null
+./build/examples/discover_rotation --threads=4 --out-dir="$boot_tmp/t4" \
+  >/dev/null
+for f in rotating_48s.txt bootstrap.snap; do
+  if ! cmp -s "$boot_tmp/t1/$f" "$boot_tmp/t4/$f"; then
+    echo "bootstrap output differs between 1 and 4 threads: $f" >&2
+    exit 1
+  fi
+done
+echo "  rotating_48s.txt + bootstrap.snap: 1 thread == 4 threads OK"
+
 echo "== serve: killed campaign resumes to an identical ServeTable =="
 serve_tmp=$(mktemp -d)
-trap 'rm -rf "$bench_tmp" "$resume_tmp" "$threads_tmp" "$serve_tmp"' EXIT
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$threads_tmp" "$boot_tmp" "$serve_tmp"' EXIT
 mkdir -p "$serve_tmp/killed" "$serve_tmp/whole"
 # Kill the serving campaign right after day 2's checkpoint (the in-memory
 # ServeTable dies with the process), then resume: the fresh table replays
@@ -228,7 +247,8 @@ echo "  kill (exit 42) + 4-thread resume: serve digest $resumed OK"
 
 echo "== join: dossier outputs byte-identical across threads and fan-out =="
 join_tmp=$(mktemp -d)
-trap 'rm -rf "$bench_tmp" "$resume_tmp" "$threads_tmp" "$serve_tmp" "$join_tmp"' EXIT
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$threads_tmp" "$boot_tmp" "$serve_tmp" \
+  "$join_tmp"' EXIT
 # The §5l merge contract: the partitioned out-of-core join must emit the
 # same bytes at any thread count AND any partition fan-out, so the two runs
 # deliberately differ in both.

@@ -1,11 +1,12 @@
 #include "core/bootstrap.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
-#include "analysis/engine.h"
 #include "container/flat_hash.h"
 #include "core/sweep_ingest.h"
+#include "engine/parallel.h"
 #include "engine/sweep.h"
 #include "netbase/eui64.h"
 #include "probe/target_generator.h"
@@ -45,6 +46,47 @@ std::vector<RotatorGroup> group_rotators(
               return a.key < b.key;
             });
   return out;
+}
+
+/// §4.3 per /48: each rotation-sweep unit is one high-density /48, so unit
+/// u's first-sweep rows and second-sweep rows are that /48's two snapshots.
+/// Units are diffed in parallel (claimed one at a time: their row counts
+/// vary by orders of magnitude), each into its own slot, and the verdicts
+/// are emitted serially in unit order — the /48s are sorted, so this is the
+/// prefix order detect_rotation sorts into. /48s with no EUI-responsive
+/// target in either sweep get no verdict, as in detect_rotation.
+std::vector<RotationVerdict> diff_rotation_units(
+    const ObservationStore& store, const std::vector<net::Prefix>& p48s,
+    const SweepIngest& first, const SweepIngest& second,
+    const BootstrapOptions& options) {
+  std::vector<RotationCounts> counts(p48s.size());
+  const unsigned shards = static_cast<unsigned>(std::min<std::size_t>(
+      engine::effective_threads(options.threads, options.oversubscribe),
+      std::max<std::size_t>(p48s.size(), 1)));
+  std::atomic<std::size_t> next_unit{0};
+  engine::run_shards(shards, [&](unsigned) {
+    Snapshot a;
+    Snapshot b;
+    const auto record = [&store](Snapshot& snapshot, const UnitIngest& unit) {
+      snapshot.clear();
+      for (std::size_t i = unit.obs_begin; i < unit.obs_end; ++i) {
+        snapshot.record(store.target(i), store.response(i));
+      }
+    };
+    for (std::size_t u = next_unit++; u < p48s.size(); u = next_unit++) {
+      record(a, first.units[u]);
+      record(b, second.units[u]);
+      counts[u] = count_rotation(a, b);
+    }
+  });
+
+  std::vector<RotationVerdict> verdicts;
+  for (std::size_t u = 0; u < p48s.size(); ++u) {
+    if (counts[u].eui_targets == 0) continue;
+    verdicts.push_back(
+        rotation_verdict(p48s[u], counts[u], /*churn_threshold=*/0));
+  }
+  return verdicts;
 }
 
 }  // namespace
@@ -233,38 +275,25 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
 
   // ---- Stage 3 (§4.3): two same-seed snapshots, one probe per /64 of
   // every high-density /48, `snapshot_gap` apart.
-  const auto sweep_snapshot = [&]() -> analysis::RowWindow {
-    std::vector<engine::SweepUnit> units;
-    units.reserve(result.high_density_48s.size());
-    for (const auto& p48 : result.high_density_48s) {
-      units.push_back({p48, 64, sim::mix64(options.seed, 0x5A59)});
-    }
-    const std::size_t stage_begin = result.observations.size();
-    sweep(units);
-    return analysis::RowWindow{stage_begin, result.observations.size()};
-  };
-
+  std::vector<engine::SweepUnit> rotation_units;
+  rotation_units.reserve(result.high_density_48s.size());
+  for (const auto& p48 : result.high_density_48s) {
+    rotation_units.push_back({p48, 64, sim::mix64(options.seed, 0x5A59)});
+  }
   const sim::TimePoint snap1_start = clock.now();
-  const analysis::RowWindow first_window = sweep_snapshot();
+  const std::size_t first_begin = result.observations.size();
+  const SweepIngest first = sweep(rotation_units);
   clock.advance_to(snap1_start + options.snapshot_gap);
-  const analysis::RowWindow second_window = sweep_snapshot();
-
-  // One fused pass reconstructs both snapshots' <target, response> maps
-  // via windowed replay instead of re-walking each snapshot's row range;
-  // no attribution or sighting state is needed here.
-  analysis::AnalysisOptions analysis_options;
-  analysis_options.threads = options.threads;
-  analysis_options.oversubscribe = options.oversubscribe;
-  analysis_options.trace = options.trace;
-  analysis_options.attribute = false;
-  analysis_options.collect_sightings = false;
-  analysis_options.windows = {first_window, second_window};
-  const analysis::AggregateTable table = analysis::analyze(
-      result.observations, nullptr, analysis_options, options.registry);
+  const std::size_t second_begin = result.observations.size();
+  const SweepIngest second = sweep(rotation_units);
+  result.snapshot_rows = {engine::RowRange{first_begin, second_begin},
+                          engine::RowRange{second_begin,
+                                           result.observations.size()}};
 
   result.verdicts =
-      detect_rotation(table.window_snapshots[0], table.window_snapshots[1],
-                      /*churn_threshold=*/0, options.registry);
+      diff_rotation_units(result.observations, result.high_density_48s,
+                          first, second, options);
+  record_rotation_telemetry(result.verdicts, options.registry);
   for (const auto& v : result.verdicts) {
     if (v.rotating) result.rotating_48s.push_back(v.prefix);
   }

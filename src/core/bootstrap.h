@@ -12,17 +12,21 @@
 // Stage 3 (§4.3 rotation): probe one address per /64 of each high-density
 //   /48, twice, `snapshot_gap` apart with the same seed (same targets, same
 //   order); /48s whose <target, EUI response> pairs changed are rotating.
+//   Each /48 is one sweep unit, so it is diffed on its own two row slices,
+//   in parallel across /48s.
 //
 // The result is the set of rotating /48s plus the funnel accounting the
 // paper reports (total addresses, EUI-64 share, unique IIDs).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/density.h"
 #include "core/observation.h"
 #include "core/rotation_detector.h"
+#include "engine/parallel.h"
 #include "netbase/prefix.h"
 #include "probe/prober.h"
 #include "routing/bgp_table.h"
@@ -80,8 +84,7 @@ struct BootstrapOptions {
   telemetry::Journal* journal = nullptr;
 
   /// Optional trace collector: every funnel sweep contributes "sweep
-  /// shard s" / "ingest shard s" lanes and the rotation-stage analysis
-  /// adds "analysis shard s" lanes (see engine::SweepOptions::trace).
+  /// shard s" / "ingest shard s" lanes (see engine::SweepOptions::trace).
   trace::TraceCollector* trace = nullptr;
 };
 
@@ -94,8 +97,11 @@ struct BootstrapResult {
   std::vector<net::Prefix> high_density_48s;
   std::vector<net::Prefix> low_density_48s;
   std::vector<net::Prefix> unresponsive_48s;
-  std::vector<RotationVerdict> verdicts;
+  std::vector<RotationVerdict> verdicts;  ///< Prefix order.
   std::vector<net::Prefix> rotating_48s;
+  /// Rows of `observations` holding the first and second §4.3 snapshot
+  /// sweeps — the snapshot pair behind `verdicts`.
+  std::array<engine::RowRange, 2> snapshot_rows{};
 
   // Funnel accounting (§4.3's closing paragraph).
   std::uint64_t probes_sent = 0;

@@ -93,14 +93,34 @@ class ObservationStore {
   }
 
   /// Appends another store's observations in their insertion order — the
-  /// engine's shard-merge primitive. Replaying through add_row (rather than
-  /// splicing the other store's indexes) keeps this store's index insertion
-  /// history identical to a serial build over the concatenated sequence.
+  /// engine's shard-merge primitive. The columns are copied in bulk and the
+  /// indexes merged by key instead of replaying rows: the other store's
+  /// first sightings of keys new to this store are, in order, the first
+  /// sightings a serial build over the concatenated rows would make, so
+  /// visiting its response classes and MAC lists in their insertion order
+  /// reproduces this store's serial index history exactly.
   void append(const ObservationStore& other) {
-    reserve(size() + other.size());
-    for (std::size_t i = 0; i < other.size(); ++i) {
-      add_row(other.targets_[i], other.responses_[i], other.type_code_[i],
-              other.times_[i]);
+    const std::size_t base = size();
+    reserve(base + other.size());
+    targets_.insert(targets_.end(), other.targets_.begin(),
+                    other.targets_.end());
+    responses_.insert(responses_.end(), other.responses_.begin(),
+                      other.responses_.end());
+    type_code_.insert(type_code_.end(), other.type_code_.begin(),
+                      other.type_code_.end());
+    times_.insert(times_.end(), other.times_.begin(), other.times_.end());
+
+    for (const auto& [response, mac_bits] : other.response_class_) {
+      if (response_class_.try_emplace(response, mac_bits).second &&
+          mac_bits != kNonEui) {
+        ++eui_unique_;
+      }
+    }
+    for (const auto& [mac, list] : other.by_mac_) {
+      auto& merged = by_mac_.try_emplace(mac).first->second;
+      for (const std::uint32_t i : other.index_arena_.range(list)) {
+        index_arena_.push_back(merged, static_cast<std::uint32_t>(base + i));
+      }
     }
   }
 

@@ -12,13 +12,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "container/flat_hash.h"
 #include "netbase/eui64.h"
 #include "netbase/ipv6_address.h"
 #include "netbase/prefix.h"
-#include "probe/prober.h"
 #include "telemetry/metrics.h"
 
 namespace scent::corpus {
@@ -39,11 +39,9 @@ class Snapshot {
     if (net::is_eui64(response)) map_[target] = response;
   }
 
-  void record_all(const std::vector<probe::ProbeResult>& results) {
-    for (const auto& r : results) {
-      if (r.responded) record(r.target, r.response_source);
-    }
-  }
+  /// Empties the snapshot but keeps its table, so per-unit scratch
+  /// snapshots refill without reallocating.
+  void clear() noexcept { map_.clear(); }
 
   [[nodiscard]] const Map& map() const noexcept { return map_; }
 
@@ -58,11 +56,36 @@ struct RotationVerdict {
   bool rotating = false;
 };
 
+/// One /48's tallies under the §4.3 counting rule.
+struct RotationCounts {
+  std::uint64_t eui_targets = 0;
+  std::uint64_t changed = 0;
+};
+
+/// The counting rule over two snapshots whose targets all lie in one /48
+/// (one sweep unit's rows per snapshot): every target EUI-responsive in
+/// either snapshot counts once, and counts as changed unless both hold the
+/// same pair. detect_rotation applies the same rule per covering /48.
+[[nodiscard]] RotationCounts count_rotation(const Snapshot& first,
+                                            const Snapshot& second);
+
+/// The verdict for one /48's counts: rotating when `changed` exceeds
+/// `churn_threshold`.
+[[nodiscard]] RotationVerdict rotation_verdict(net::Prefix prefix,
+                                               RotationCounts counts,
+                                               std::uint64_t churn_threshold);
+
+/// Feeds a finished verdict list into the rotation telemetry: bumps
+/// `rotation.checked_48s` / `rotation.rotating_48s` and observes each
+/// /48's churn percentage in `rotation.churn_pct`. No-op without a
+/// registry.
+void record_rotation_telemetry(std::span<const RotationVerdict> verdicts,
+                               telemetry::Registry* registry);
+
 /// Compares two snapshots and classifies each /48 (grouping targets by
-/// their covering /48). A /48 is flagged when the changed-pair count
-/// exceeds `churn_threshold` (paper default: any change at all). With a
-/// registry, bumps `rotation.checked_48s` / `rotation.rotating_48s` and
-/// feeds the per-/48 churn percentage into `rotation.churn_pct`.
+/// their covering /48), in prefix order. A /48 is flagged when the
+/// changed-pair count exceeds `churn_threshold` (paper default: any change
+/// at all). With a registry, records the verdicts' rotation telemetry.
 [[nodiscard]] std::vector<RotationVerdict> detect_rotation(
     const Snapshot& first, const Snapshot& second,
     std::uint64_t churn_threshold = 0,

@@ -100,8 +100,11 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
 
   // Merge in shard order: shards hold contiguous ascending unit ranges, so
   // concatenation reproduces the serial observation sequence exactly. The
-  // ingest trace lanes and batch-latency sketches fold in at the same
-  // point, in the same order.
+  // columns grow once, to the exact total. The ingest trace lanes and
+  // batch-latency sketches fold in at the same point, in the same order.
+  std::size_t total = store.size();
+  for (const StoreShardSink& sink : sinks) total += sink.store().size();
+  store.reserve(total);
   for (std::size_t s = 0; s < sinks.size(); ++s) {
     StoreShardSink& sink = sinks[s];
     const std::size_t base = store.size();

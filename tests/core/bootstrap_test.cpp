@@ -1,6 +1,6 @@
 // Stage-level tests for the §4 funnel beyond the integration suite:
 // advertisement filtering, the unique-last-hop filter, traceroute seeding,
-// and rotator grouping.
+// rotator grouping, and the rotation stage's telemetry.
 #include "core/bootstrap.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "probe/prober.h"
 #include "sim/scenario.h"
+#include "telemetry/metrics.h"
 
 namespace scent::core {
 namespace {
@@ -166,6 +167,49 @@ TEST(Bootstrap, FunnelCountersAreMonotone) {
   EXPECT_EQ(result.expanded_48s.size(),
             result.high_density_48s.size() + result.low_density_48s.size() +
                 result.unresponsive_48s.size());
+}
+
+TEST(Bootstrap, RotationTelemetryMatchesVerdicts) {
+  // The rotation.* metrics on a bootstrap registry are a pure function of
+  // the verdict list, recorded once whatever the shard count.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    sim::PaperWorld world = one_provider_world(0xB005);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world.internet, clock, fast_opts()};
+    telemetry::Registry registry;
+    BootstrapOptions options;
+    options.probes_per_48 = 4;
+    options.threads = threads;
+    options.oversubscribe = true;
+    options.registry = &registry;
+    const auto result = run_bootstrap(world.internet, clock, prober, options);
+    ASSERT_FALSE(result.verdicts.empty());
+
+    std::uint64_t rotating = 0;
+    telemetry::Histogram churn{{0, 10, 25, 50, 75, 90, 100}};
+    for (const auto& v : result.verdicts) {
+      if (v.rotating) ++rotating;
+      if (v.eui_targets > 0) churn.observe(100 * v.changed / v.eui_targets);
+    }
+    EXPECT_EQ(rotating, result.rotating_48s.size());
+
+    const telemetry::Counter* checked =
+        registry.find_counter("rotation.checked_48s");
+    const telemetry::Counter* flagged =
+        registry.find_counter("rotation.rotating_48s");
+    const telemetry::Histogram* churn_pct =
+        registry.find_histogram("rotation.churn_pct");
+    ASSERT_NE(checked, nullptr);
+    ASSERT_NE(flagged, nullptr);
+    ASSERT_NE(churn_pct, nullptr);
+    EXPECT_EQ(checked->value(), result.verdicts.size());
+    EXPECT_EQ(flagged->value(), rotating);
+    EXPECT_EQ(churn_pct->bounds(), churn.bounds());
+    EXPECT_EQ(churn_pct->buckets(), churn.buckets());
+    EXPECT_EQ(churn_pct->count(), churn.count());
+    EXPECT_EQ(churn_pct->sum(), churn.sum());
+  }
 }
 
 }  // namespace

@@ -205,6 +205,16 @@ TEST(ObservationStore, IndexRebuildsAfterMutation) {
 
 // ---- Density ----------------------------------------------------------------
 
+// The funnel classifies each /48 from the store slice its density sweep
+// ingested; these cases build that slice from probe results the same way.
+DensityResult classify(const std::vector<probe::ProbeResult>& results,
+                       std::uint64_t low_threshold = 2) {
+  ObservationStore store;
+  store.add_all(results);
+  return classify_density(pfx("2001:db8::/48"), 256, store.all(),
+                          low_threshold);
+}
+
 probe::ProbeResult responsive(net::Ipv6Address target,
                               net::Ipv6Address source) {
   probe::ProbeResult r;
@@ -215,9 +225,11 @@ probe::ProbeResult responsive(net::Ipv6Address target,
 }
 
 TEST(Density, UnresponsivePrefix) {
-  const auto d = classify_density(pfx("2001:db8::/48"), 256,
-                                  std::vector<probe::ProbeResult>{});
+  probe::ProbeResult silent;
+  silent.target = addr("2001:db8::1");
+  const auto d = classify({silent});
   EXPECT_EQ(d.klass, DensityClass::kUnresponsive);
+  EXPECT_EQ(d.responses, 0u);
   EXPECT_EQ(d.density(), 0.0);
 }
 
@@ -229,7 +241,7 @@ TEST(Density, LowDensityAtThreshold) {
         addr("2001:db8::1"),
         eui_response(addr("2001:db8::").network(), kMac1 + (i % 2))));
   }
-  const auto d = classify_density(pfx("2001:db8::/48"), 256, results);
+  const auto d = classify(results);
   EXPECT_EQ(d.klass, DensityClass::kLow);
   EXPECT_EQ(d.unique_eui64, 2u);
   EXPECT_EQ(d.responses, 10u);
@@ -242,7 +254,7 @@ TEST(Density, HighDensityAboveThreshold) {
         addr("2001:db8::1"),
         eui_response(addr("2001:db8::").network() + i, kMac1 + i)));
   }
-  const auto d = classify_density(pfx("2001:db8::/48"), 256, results);
+  const auto d = classify(results);
   EXPECT_EQ(d.klass, DensityClass::kHigh);
   EXPECT_NEAR(d.density(), 3.0 / 256.0, 1e-9);
 }
@@ -255,7 +267,7 @@ TEST(Density, NonEuiResponsesAreResponsiveButNotDense) {
                    net::Ipv6Address{addr("2001:db8::").network() + i,
                                     0x9d71c001d00d0000ULL + i}));
   }
-  const auto d = classify_density(pfx("2001:db8::/48"), 256, results);
+  const auto d = classify(results);
   EXPECT_EQ(d.klass, DensityClass::kLow);  // responsive, zero unique EUI
   EXPECT_EQ(d.unique_eui64, 0u);
 }
@@ -267,10 +279,8 @@ TEST(Density, CustomThreshold) {
         addr("2001:db8::1"),
         eui_response(addr("2001:db8::").network() + i, kMac1 + i)));
   }
-  EXPECT_EQ(classify_density(pfx("2001:db8::/48"), 256, results, 10).klass,
-            DensityClass::kLow);
-  EXPECT_EQ(classify_density(pfx("2001:db8::/48"), 256, results, 2).klass,
-            DensityClass::kHigh);
+  EXPECT_EQ(classify(results, 10).klass, DensityClass::kLow);
+  EXPECT_EQ(classify(results, 2).klass, DensityClass::kHigh);
 }
 
 }  // namespace

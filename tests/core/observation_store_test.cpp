@@ -1,7 +1,7 @@
 // ObservationStore's incremental indexing: add() maintains the per-MAC
 // index and uniqueness sets as it goes, so interleaved add/query sequences
 // (every funnel stage alternates them) see consistent answers without a
-// rebuild, and append() replays another store's insertion order so a merged
+// rebuild, and append() merges another store's indexes by key so a merged
 // store is indistinguishable from one built serially.
 #include "core/observation.h"
 
@@ -90,6 +90,27 @@ TEST(ObservationStore, InterleavedAddAndQueryMatchesFromScratchRebuild) {
   }
 }
 
+/// Every index of a store in iteration order: distinct responses, then
+/// each MAC with its observation indices.
+struct IndexOrder {
+  std::vector<net::Ipv6Address> responses;
+  std::vector<net::MacAddress> macs;
+  std::vector<std::vector<std::uint32_t>> indices;
+};
+
+IndexOrder index_order(const ObservationStore& store) {
+  IndexOrder order;
+  for (const net::Ipv6Address response : store.distinct_responses()) {
+    order.responses.push_back(response);
+  }
+  for (const auto& [mac, list] : store.by_mac()) {
+    order.macs.push_back(mac);
+    std::vector<std::uint32_t>& indices = order.indices.emplace_back();
+    for (const std::uint32_t i : store.indices(list)) indices.push_back(i);
+  }
+  return order;
+}
+
 TEST(ObservationStore, AppendEqualsSeriallyConcatenatedAdds) {
   const auto stream = make_stream(0xA99, 400);
 
@@ -97,34 +118,60 @@ TEST(ObservationStore, AppendEqualsSeriallyConcatenatedAdds) {
   ObservationStore serial;
   for (const auto& obs : stream) serial.add(obs);
 
-  // Sharded: three stores fed disjoint slices, merged in order.
-  ObservationStore a;
-  ObservationStore b;
-  ObservationStore c;
-  for (std::size_t i = 0; i < 150; ++i) a.add(stream[i]);
-  for (std::size_t i = 150; i < 260; ++i) b.add(stream[i]);
-  for (std::size_t i = 260; i < stream.size(); ++i) c.add(stream[i]);
+  // Sharded: disjoint slices merged in order, with an empty shard between
+  // the first and second.
+  const std::vector<std::size_t> cuts = {0, 150, 150, 260, stream.size()};
+  std::vector<ObservationStore> shards(cuts.size() - 1);
+  for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
+    for (std::size_t i = cuts[s]; i < cuts[s + 1]; ++i) {
+      shards[s].add(stream[i]);
+    }
+  }
+  ASSERT_TRUE(shards[1].empty());
+
+  // The merge must stitch keys that span shard boundaries: some MAC and
+  // some response address recur in a later shard than their first one.
+  const auto first_shard_of = [&](std::size_t row) {
+    std::size_t s = 0;
+    while (row >= cuts[s + 1]) ++s;
+    return s;
+  };
+  bool mac_spans = false;
+  for (const auto& [mac, list] : serial.by_mac()) {
+    const std::vector<std::size_t> rows = serial.indices_of(mac);
+    mac_spans |= first_shard_of(rows.front()) != first_shard_of(rows.back());
+  }
+  bool response_spans = false;
+  for (std::size_t i = 0; i < cuts[1] && !response_spans; ++i) {
+    for (std::size_t j = cuts[2]; j < stream.size(); ++j) {
+      if (stream[j].response == stream[i].response) response_spans = true;
+    }
+  }
+  ASSERT_TRUE(mac_spans);
+  ASSERT_TRUE(response_spans);
 
   ObservationStore merged;
-  merged.append(a);
-  merged.append(b);
-  merged.append(c);
+  for (const auto& shard : shards) merged.append(shard);
 
   ASSERT_EQ(merged.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(merged.all()[i].target, serial.all()[i].target);
     EXPECT_EQ(merged.all()[i].response, serial.all()[i].response);
     EXPECT_EQ(merged.all()[i].time, serial.all()[i].time);
+    EXPECT_EQ(merged.type_code(i), serial.type_code(i));
   }
   EXPECT_EQ(merged.unique_responses(), serial.unique_responses());
   EXPECT_EQ(merged.unique_eui64_responses(), serial.unique_eui64_responses());
   EXPECT_EQ(merged.unique_eui64_iids(), serial.unique_eui64_iids());
 
-  // by_mac indices must point into the *merged* store, in insertion order.
-  ASSERT_EQ(merged.by_mac().size(), serial.by_mac().size());
-  for (const auto& [mac, indices] : serial.by_mac()) {
-    EXPECT_EQ(merged.indices_of(mac), serial.indices_of(mac));
-  }
+  // Iteration order of both indexes, and every by_mac list resolved
+  // through indices(): the lists point into the *merged* store, in
+  // insertion order.
+  const IndexOrder want = index_order(serial);
+  const IndexOrder got = index_order(merged);
+  EXPECT_EQ(got.responses, want.responses);
+  EXPECT_EQ(got.macs, want.macs);
+  EXPECT_EQ(got.indices, want.indices);
 
   // networks_of agrees too (first-seen order of distinct /64s).
   for (const auto& [mac, indices] : serial.by_mac()) {

@@ -6,7 +6,8 @@
 // Each (scenario, seed, threads) cell builds a fresh world and is compared
 // field-by-field against a cached threads=1 reference from an identical
 // world. A campaign aborted mid-day must also resume to that same corpus
-// and chain (§5f).
+// and chain (§5f). The bootstrap's per-/48 rotation stage must also give
+// exactly the verdicts of the whole-window two-snapshot diff it replaced.
 //
 // Under ThreadSanitizer the matrix shrinks (TSan runs ~15x slower) but
 // still crosses both scenarios with real multi-threaded runs.
@@ -23,9 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/engine.h"
 #include "core/bootstrap.h"
 #include "core/campaign.h"
 #include "core/observation.h"
+#include "core/rotation_detector.h"
 #include "netbase/mac_address.h"
 #include "netbase/prefix.h"
 #include "probe/prober.h"
@@ -406,6 +409,77 @@ TEST(EngineEquivalence, MidDayAbortResumesBitIdentically) {
               resumed.daily[d].unique_eui64_iids);
   }
   expect_same_chain(read_chain(whole_dir.path), read_chain(dir.path));
+}
+
+/// The whole-window oracle: one fused analysis pass materializes both
+/// §4.3 snapshots from the bootstrap's rotation-stage rows, and a single
+/// global detect_rotation groups every target by its covering /48.
+std::vector<core::RotationVerdict> whole_window_verdicts(
+    const core::BootstrapResult& boot) {
+  analysis::AnalysisOptions options;
+  options.attribute = false;
+  options.collect_sightings = false;
+  for (const auto& rows : boot.snapshot_rows) {
+    options.windows.push_back(analysis::RowWindow{rows.begin, rows.end});
+  }
+  const analysis::AggregateTable table =
+      analysis::analyze(boot.observations, nullptr, options);
+  return core::detect_rotation(table.window_snapshots[0],
+                               table.window_snapshots[1]);
+}
+
+TEST(EngineRotationStage, PerUnitVerdictsMatchWholeWindowOracle) {
+  const std::vector<std::uint64_t> seeds =
+      kTsan ? std::vector<std::uint64_t>{0x11}
+            : std::vector<std::uint64_t>{0x11, 0x22, 0x33};
+  struct Shards {
+    unsigned threads;
+    bool oversubscribe;
+  };
+  const std::vector<Shards> shard_configs =
+      kTsan ? std::vector<Shards>{{4, true}}
+            : std::vector<Shards>{{1, false}, {4, true}, {8, true},
+                                  {8, false}};
+
+  for (const Scenario scenario : {Scenario::kPaperWorld, Scenario::kChurn}) {
+    for (const std::uint64_t seed : seeds) {
+      for (const Shards shards : shard_configs) {
+        SCOPED_TRACE(testing::Message()
+                     << scenario_name(scenario) << " seed=0x" << std::hex
+                     << seed << std::dec << " threads=" << shards.threads
+                     << " oversubscribe=" << shards.oversubscribe);
+        sim::Internet internet = make_world(scenario, seed);
+        sim::VirtualClock clock{sim::hours(10)};
+        probe::Prober prober{internet, clock, fast_prober_options()};
+        core::BootstrapOptions options =
+            bootstrap_options(seed, shards.threads);
+        options.oversubscribe = shards.oversubscribe;
+        const core::BootstrapResult boot =
+            core::run_bootstrap(internet, clock, prober, options);
+
+        // The snapshot rows are the last two sweeps, back to back, a day
+        // apart.
+        const auto& [first, second] = boot.snapshot_rows;
+        ASSERT_LT(first.begin, first.end);
+        ASSERT_EQ(first.end, second.begin);
+        ASSERT_LT(second.begin, second.end);
+        ASSERT_EQ(second.end, boot.observations.size());
+        EXPECT_GE(boot.observations.time(second.begin),
+                  boot.observations.time(first.begin) + options.snapshot_gap);
+
+        const auto want = whole_window_verdicts(boot);
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(boot.verdicts.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE(testing::Message() << "verdict " << i);
+          EXPECT_EQ(boot.verdicts[i].prefix, want[i].prefix);
+          EXPECT_EQ(boot.verdicts[i].eui_targets, want[i].eui_targets);
+          EXPECT_EQ(boot.verdicts[i].changed, want[i].changed);
+          EXPECT_EQ(boot.verdicts[i].rotating, want[i].rotating);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
