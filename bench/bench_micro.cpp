@@ -11,6 +11,9 @@
 // benchmarks:
 //   * telemetry: attaching a registry costs <5% of fast-path throughput;
 //   * sweep scaling: 8 shards beat serial by >= 3x (on >= 8-core hosts);
+//   * sim route: the simulated Internet's range-table forwarding routes the
+//     paper world's seed-stage targets exactly as the PrefixTrie walk it
+//     replaced, >= 4x faster (median of paired trials, with its MAD);
 //   * ingest: the columnar ObservationStore ingests >= 2x faster and holds
 //     >= 30% fewer live heap bytes per observation than the node-based
 //     layout it replaced (replicated here as the measured baseline);
@@ -37,6 +40,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -56,6 +60,7 @@
 #include "analysis/engine.h"
 #include "analysis/input.h"
 #include "container/flat_hash.h"
+#include "core/bootstrap.h"
 #include "core/homogeneity.h"
 #include "core/inference.h"
 #include "core/observation.h"
@@ -181,6 +186,14 @@ struct BenchReport {
   double sweep_speedup_at_8 = 0;
   bool sweep_floor_enforced = false;
   bool sweep_ok = false;
+
+  std::size_t sim_route_targets = 0;
+  double sim_route_table_ns = 0;     // Internet::route, per lookup
+  double sim_route_trie_ns = 0;      // verbatim PrefixTrie walk, per lookup
+  double sim_route_speedup = 0;      // median of paired trie/table ratios
+  double sim_route_speedup_mad = 0;  // median absolute deviation of those
+  bool sim_route_routes_equal = false;
+  bool sim_route_ok = false;
 
   std::size_t ingest_observations = 0;
   double ingest_legacy_mops = 0;
@@ -1922,6 +1935,155 @@ bool check_sweep_scaling(BenchReport& report) {
 }
 
 // ---------------------------------------------------------------------------
+// Sim routing guard: Internet::route (the flattened range table) against the
+// PrefixTrie walk it replaced, over the paper world's seed-stage targets.
+
+/// The PrefixTrie forwarding Internet::route ran before the range table,
+/// kept verbatim as this guard's baseline: fed every advertisement in
+/// provider order, as Internet::add_provider fed it.
+class TrieForwarding {
+ public:
+  explicit TrieForwarding(const sim::Internet& internet) {
+    for (std::size_t p = 0; p < internet.provider_count(); ++p) {
+      for (const auto& prefix : internet.provider(p).config().advertisements) {
+        forwarding_.insert(prefix, p);
+      }
+    }
+  }
+
+  [[nodiscard]] std::optional<std::size_t> route(net::Ipv6Address a) const {
+    const auto match = forwarding_.longest_match(a);
+    if (!match) return std::nullopt;
+    return *match->value;
+  }
+
+ private:
+  routing::PrefixTrie<std::size_t> forwarding_;
+};
+
+/// The bootstrap's stage-0 targets with its default options (one probe per
+/// /48 of every /32../47 advertisement, in sweep order), thinned by a fixed
+/// stride to about `max_targets` so every advertisement stays represented.
+std::vector<net::Ipv6Address> seed_stage_targets(const sim::Internet& internet,
+                                                 std::size_t max_targets) {
+  const core::BootstrapOptions options;
+  std::vector<net::Prefix> adverts;
+  for (const auto& ad : internet.bgp().dump()) {
+    if (ad.prefix.length() >= options.min_advert_length &&
+        ad.prefix.length() < 48) {
+      adverts.push_back(ad.prefix);
+    }
+  }
+  std::sort(adverts.begin(), adverts.end());
+  adverts.erase(std::unique(adverts.begin(), adverts.end()), adverts.end());
+
+  std::uint64_t total = 0;
+  for (const auto& advert : adverts) {
+    total += probe::SubnetTargets{advert, 48, 0}.size() * options.probes_per_48;
+  }
+  const std::uint64_t stride = std::max<std::uint64_t>(1, total / max_targets);
+  std::vector<net::Ipv6Address> targets;
+  targets.reserve(static_cast<std::size_t>(total / stride + 1));
+  std::uint64_t ordinal = 0;
+  for (const auto& advert : adverts) {
+    for (unsigned round = 0; round < options.probes_per_48; ++round) {
+      probe::SubnetTargets gen{advert, 48,
+                               sim::mix64(options.seed, 0x5EED, round)};
+      net::Ipv6Address target;
+      while (gen.next(target)) {
+        if (ordinal++ % stride == 0) targets.push_back(target);
+      }
+    }
+  }
+  return targets;
+}
+
+/// Seconds for one pass of `route` over `targets`; the routed provider
+/// indices are summed so no lookup can be elided.
+template <typename Router>
+double route_pass_s(const Router& router,
+                    const std::vector<net::Ipv6Address>& targets) {
+  std::size_t sum = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& target : targets) {
+    const auto provider = router.route(target);
+    sum += provider ? *provider + 1 : 0;
+  }
+  const double s = seconds_since(start);
+  benchmark::DoNotOptimize(sum);
+  return s;
+}
+
+/// Guards the simulated Internet's forwarding lookup: the range table must
+/// route every seed-stage target exactly as the trie does, and beat it by
+/// >= 4x. Paired trials with alternating arm order over one shared world;
+/// the verdict is the median of the per-trial trie/table time ratios, with
+/// their median absolute deviation as the spread. Single-threaded, so the
+/// floor holds on any host.
+bool check_sim_route(BenchReport& report) {
+  constexpr int kTrials = 11;
+  const sim::PaperWorld world = sim::make_paper_world();
+  const sim::Internet& internet = world.internet;
+  const TrieForwarding trie{internet};
+  const auto targets = seed_stage_targets(internet, std::size_t{1} << 20);
+
+  bool equal = true;
+  std::size_t routed = 0;
+  for (const auto& target : targets) {
+    const auto expected = trie.route(target);
+    equal = equal && internet.route(target) == expected;
+    if (expected) ++routed;
+  }
+
+  route_pass_s(internet, targets);  // warm-up, discarded
+  route_pass_s(trie, targets);
+  std::vector<double> table_s;
+  std::vector<double> trie_s;
+  std::vector<double> ratios;
+  for (int t = 0; t < kTrials; ++t) {
+    double table = 0;
+    double walk = 0;
+    if (t % 2 == 0) {
+      table = route_pass_s(internet, targets);
+      walk = route_pass_s(trie, targets);
+    } else {
+      walk = route_pass_s(trie, targets);
+      table = route_pass_s(internet, targets);
+    }
+    table_s.push_back(table);
+    trie_s.push_back(walk);
+    ratios.push_back(walk / table);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double speedup = median(ratios);
+  std::vector<double> deviations;
+  for (const double r : ratios) deviations.push_back(std::abs(r - speedup));
+  const double mad = median(deviations);
+  const double per_lookup = 1e9 / static_cast<double>(targets.size());
+  const double table_ns = median(table_s) * per_lookup;
+  const double trie_ns = median(trie_s) * per_lookup;
+
+  const bool ok = equal && speedup >= 4.0;
+  std::printf(
+      "sim route guard (%zu seed-stage targets, %zu routed): "
+      "table %.1fns vs trie %.1fns per lookup = %.2fx (MAD %.2f, %d paired "
+      "trials, floor 4x), routes %s %s\n",
+      targets.size(), routed, table_ns, trie_ns, speedup, mad, kTrials,
+      equal ? "equal" : "DIFFER", ok ? "OK" : "FAILED");
+  report.sim_route_targets = targets.size();
+  report.sim_route_table_ns = table_ns;
+  report.sim_route_trie_ns = trie_ns;
+  report.sim_route_speedup = speedup;
+  report.sim_route_speedup_mad = mad;
+  report.sim_route_routes_equal = equal;
+  report.sim_route_ok = ok;
+  return ok;
+}
+
+// ---------------------------------------------------------------------------
 // Join scaling guard (DESIGN.md §5l): the partitioned out-of-core merge-join
 // must (a) emit exactly the naive hash-join oracle's table, byte for byte,
 // at every thread count, (b) show the block-stat pruning counters actually
@@ -2409,6 +2571,18 @@ void write_report_json(const BenchReport& r, bool guards_ok) {
                "  },\n",
                r.sweep_speedup_at_8, r.sweep_floor_enforced ? "true" : "false");
   std::fprintf(f,
+               "  \"sim_route\": {\n"
+               "    \"targets\": %zu,\n"
+               "    \"table_ns\": %.2f,\n"
+               "    \"trie_ns\": %.2f,\n"
+               "    \"speedup\": %.2f,\n"
+               "    \"speedup_mad\": %.2f,\n"
+               "    \"routes_equal\": %s\n"
+               "  },\n",
+               r.sim_route_targets, r.sim_route_table_ns, r.sim_route_trie_ns,
+               r.sim_route_speedup, r.sim_route_speedup_mad,
+               r.sim_route_routes_equal ? "true" : "false");
+  std::fprintf(f,
                "  \"telemetry\": {\n"
                "    \"plain_mops\": %.3f,\n"
                "    \"attached_mops\": %.3f,\n"
@@ -2531,6 +2705,7 @@ int main(int argc, char** argv) {
   const bool telemetry_ok = check_telemetry_overhead(report);
   const bool trace_ok = check_trace_overhead(report);
   const bool scaling_ok = check_sweep_scaling(report);
+  const bool sim_route_ok = check_sim_route(report);
   const bool ingest_ok = check_ingest_guard(report);
   const bool corpus_ok = check_corpus_guards(report);
   const bool snapshot_v2_ok = check_snapshot_v2_guards(report);
@@ -2567,6 +2742,7 @@ int main(int argc, char** argv) {
       {"trace", trace_ok, true, 1, ""},
       {"sweep_scaling", scaling_ok, report.sweep_floor_enforced, 8,
        sweep_skip},
+      {"sim_route", sim_route_ok, true, 1, ""},
       {"ingest", ingest_ok, true, 1, ""},
       {"corpus", corpus_ok, true, 1, ""},
       {"snapshot_v2", snapshot_v2_ok, report.snapshot_v2_floor_enforced, 8,
@@ -2576,8 +2752,8 @@ int main(int argc, char** argv) {
       {"join_scaling", join_ok, report.join_floor_enforced, 8, join_skip},
   };
   const bool guards_ok = telemetry_ok && trace_ok && scaling_ok &&
-                         ingest_ok && corpus_ok && snapshot_v2_ok &&
-                         analysis_ok && serve_ok && join_ok;
+                         sim_route_ok && ingest_ok && corpus_ok &&
+                         snapshot_v2_ok && analysis_ok && serve_ok && join_ok;
   write_report_json(report, guards_ok);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

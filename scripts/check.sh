@@ -6,7 +6,8 @@
 #
 # The plain pass is the repo's tier-1 gate (ROADMAP.md). The bench-guard leg
 # runs bench_micro's enforced perf floors (telemetry overhead, trace
-# instrumentation overhead, sweep scaling, ingest throughput, bytes per observation, snapshot save/load, incremental
+# instrumentation overhead, sweep scaling, sim route (range-table forwarding
+# vs the PrefixTrie walk, >= 4x), ingest throughput, bytes per observation, snapshot save/load, incremental
 # differencing, fused analysis speedup) into a fresh JSON report; a follow-up audit of guards.entries
 # fails the run if any guard reported itself skipped on hardware that could
 # have run it — a guard may only be waved through when the host genuinely
@@ -26,8 +27,9 @@
 # for that day) and asserts the resume still converges on the 1-thread
 # digest and chain.
 # The bootstrap thread-count leg runs the §4 discovery funnel
-# (discover_rotation) at 1 and 4 threads and cmp's its rotating-/48 list
-# and bootstrap corpus snapshot byte for byte.
+# (discover_rotation) at 1 and 4 threads and cmp's its rotating-/48 list,
+# bootstrap corpus snapshot and event journal byte for byte (the journal's
+# funnel event carries the probe, response, address and IID counts).
 # The serve leg (§5k) kills a campaign that is maintaining a live ServeTable
 # mid-chain, resumes it at a different thread count, and asserts the
 # resumed table's version digest — every maintained field plus both
@@ -210,13 +212,13 @@ mkdir -p "$boot_tmp/t1" "$boot_tmp/t4"
   >/dev/null
 ./build/examples/discover_rotation --threads=4 --out-dir="$boot_tmp/t4" \
   >/dev/null
-for f in rotating_48s.txt bootstrap.snap; do
+for f in rotating_48s.txt bootstrap.snap discover_rotation_journal.jsonl; do
   if ! cmp -s "$boot_tmp/t1/$f" "$boot_tmp/t4/$f"; then
     echo "bootstrap output differs between 1 and 4 threads: $f" >&2
     exit 1
   fi
 done
-echo "  rotating_48s.txt + bootstrap.snap: 1 thread == 4 threads OK"
+echo "  rotating_48s.txt + bootstrap.snap + journal: 1 thread == 4 threads OK"
 
 echo "== serve: killed campaign resumes to an identical ServeTable =="
 serve_tmp=$(mktemp -d)

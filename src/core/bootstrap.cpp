@@ -280,6 +280,16 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   for (const auto& p48 : result.high_density_48s) {
     rotation_units.push_back({p48, 64, sim::mix64(options.seed, 0x5A59)});
   }
+  // Both sweeps merge into the result store. A probe yields at most one
+  // row, so reserving for both up front keeps the second merge from
+  // reallocating and re-copying the first sweep's rows.
+  std::uint64_t rotation_probes = 0;
+  for (const auto& unit : rotation_units) {
+    rotation_probes +=
+        probe::SubnetTargets{unit.prefix, unit.sub_length, unit.seed}.size();
+  }
+  result.observations.reserve(result.observations.size() +
+                              2 * static_cast<std::size_t>(rotation_probes));
   const sim::TimePoint snap1_start = clock.now();
   const std::size_t first_begin = result.observations.size();
   const SweepIngest first = sweep(rotation_units);

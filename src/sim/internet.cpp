@@ -7,8 +7,9 @@ std::size_t Internet::add_provider(ProviderConfig config) {
   for (const auto& prefix : config.advertisements) {
     bgp_.announce(routing::Advertisement{prefix, config.asn, config.country,
                                          config.name});
-    forwarding_.insert(prefix, index);
+    routes_.push_back({prefix, static_cast<std::uint32_t>(index)});
   }
+  forwarding_ = routing::RangeTable{routes_};
   providers_.push_back(std::make_unique<Provider>(std::move(config)));
   return index;
 }

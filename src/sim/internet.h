@@ -17,7 +17,7 @@
 
 #include "netbase/ipv6_address.h"
 #include "routing/bgp_table.h"
-#include "routing/prefix_trie.h"
+#include "routing/range_table.h"
 #include "sim/provider.h"
 #include "wire/icmpv6.h"
 
@@ -30,7 +30,7 @@ class Internet {
   Internet() = default;
 
   /// Registers a provider; announces all its advertisements into the BGP
-  /// table and the forwarding trie. Returns the provider index.
+  /// table and rebuilds the forwarding table. Returns the provider index.
   std::size_t add_provider(ProviderConfig config);
 
   [[nodiscard]] Provider& provider(std::size_t index) {
@@ -43,11 +43,11 @@ class Internet {
     return providers_.size();
   }
 
-  /// Finds the provider owning an address, if advertised.
+  /// Finds the provider owning an address, if advertised: the longest
+  /// matching advertisement wins. Const and lock-free, so shard workers
+  /// route concurrently.
   [[nodiscard]] std::optional<std::size_t> route(net::Ipv6Address a) const {
-    const auto match = forwarding_.longest_match(a);
-    if (!match) return std::nullopt;
-    return *match->value;
+    return forwarding_.find(a);
   }
 
   /// The global BGP view (used by analysis for response attribution).
@@ -103,7 +103,10 @@ class Internet {
   // move-only; pointer stability lets DeviceRef-style indices stay valid.
   std::vector<std::unique_ptr<Provider>> providers_;
   routing::BgpTable bgp_;
-  routing::PrefixTrie<std::size_t> forwarding_;
+  // Every advertisement with its provider index, in announcement order; the
+  // forwarding table is flattened from it whenever a provider is added.
+  std::vector<routing::RangeTable::Route> routes_;
+  routing::RangeTable forwarding_;
   Stats stats_;
 };
 

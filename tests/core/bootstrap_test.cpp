@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "netbase/eui64.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
 #include "telemetry/metrics.h"
@@ -167,6 +168,86 @@ TEST(Bootstrap, FunnelCountersAreMonotone) {
   EXPECT_EQ(result.expanded_48s.size(),
             result.high_density_48s.size() + result.low_density_48s.size() +
                 result.unresponsive_48s.size());
+}
+
+/// The single-rotator world plus a static /48 pool (2001:db8:8::/48) of
+/// EUI-64 CPEs that all switch to privacy addressing at `upgrade_at` — §8's
+/// firmware fix, landing between the density stage and the rotation sweeps.
+sim::PaperWorld upgraded_48_world(sim::TimePoint upgrade_at) {
+  sim::PaperWorld world = one_provider_world(0xB006);
+  sim::Provider& provider = world.internet.provider(world.versatel);
+  sim::PoolConfig pool;
+  pool.prefix = *net::Prefix::parse("2001:db8:8::/48");
+  pool.allocation_length = 56;
+  pool.seed = 0xB006;
+  const std::size_t pool_index = provider.add_pool(pool);
+  sim::RotationPool& upgraded = provider.pools()[pool_index];
+  for (std::uint32_t d = 0; d < 200; ++d) {
+    sim::CpeDevice device;
+    device.id = 100000 + d;
+    device.mac = net::MacAddress{0x344b50000000ULL + d};
+    device.initial_slot = d;
+    device.privacy_upgrade_at = upgrade_at;
+    upgraded.add_device(device);
+  }
+  return world;
+}
+
+TEST(Bootstrap, EuiSilentHighDensity48GetsNoVerdict) {
+  // A high-density /48 whose CPEs answer both rotation sweeps only from
+  // privacy addresses has no EUI-64 target to compare, so it must get no
+  // verdict — neither rotating nor stable.
+  const net::Prefix silent = *net::Prefix::parse("2001:db8:8::/48");
+  probe::ProberOptions opts = fast_opts();
+  opts.packets_per_second = 1000000;  // 1us per probe: distinct send times
+  BootstrapOptions options;
+  options.probes_per_48 = 4;
+
+  // Pilot without the upgrade: the /48 is EUI-responsive and gets a
+  // verdict. Its first rotation-sweep row was sent after every earlier
+  // stage's probe and no later than any responsive rotation probe, so an
+  // upgrade at that instant silences exactly the two rotation sweeps.
+  sim::TimePoint upgrade_at = 0;
+  {
+    sim::PaperWorld world = upgraded_48_world(sim::days(10000));
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world.internet, clock, opts};
+    const auto pilot = run_bootstrap(world.internet, clock, prober, options);
+    ASSERT_TRUE(std::any_of(
+        pilot.verdicts.begin(), pilot.verdicts.end(),
+        [&](const RotationVerdict& v) { return v.prefix == silent; }));
+    upgrade_at = pilot.observations.time(pilot.snapshot_rows[0].begin);
+  }
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    sim::PaperWorld world = upgraded_48_world(upgrade_at);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world.internet, clock, opts};
+    options.threads = threads;
+    options.oversubscribe = true;
+    const auto result = run_bootstrap(world.internet, clock, prober, options);
+
+    EXPECT_TRUE(std::binary_search(result.high_density_48s.begin(),
+                                   result.high_density_48s.end(), silent));
+    // Both sweeps drew responses inside the /48, none of them EUI-64.
+    for (const auto& rows : result.snapshot_rows) {
+      std::size_t inside = 0;
+      std::size_t eui = 0;
+      for (std::size_t i = rows.begin; i < rows.end; ++i) {
+        if (!silent.contains(result.observations.target(i))) continue;
+        ++inside;
+        if (net::is_eui64(result.observations.response(i))) ++eui;
+      }
+      EXPECT_GT(inside, 0u);
+      EXPECT_EQ(eui, 0u);
+    }
+    EXPECT_FALSE(result.verdicts.empty());
+    for (const auto& v : result.verdicts) {
+      EXPECT_NE(v.prefix, silent);
+      EXPECT_GT(v.eui_targets, 0u);
+    }
+  }
 }
 
 TEST(Bootstrap, RotationTelemetryMatchesVerdicts) {

@@ -1,8 +1,11 @@
 // Tests for Provider probe handling and Internet routing/delivery.
 #include <gtest/gtest.h>
 
+#include "routing/prefix_trie.h"
 #include "sim/internet.h"
 #include "sim/provider.h"
+#include "sim/rng.h"
+#include "sim/scenario.h"
 
 namespace scent::sim {
 namespace {
@@ -224,6 +227,65 @@ TEST(Internet, RoutesByLongestPrefixToProvider) {
   Fixture f;
   EXPECT_EQ(f.internet.route(addr("2001:16b8:100::1")), 0u);
   EXPECT_FALSE(f.internet.route(addr("2003:e2::1")).has_value());
+}
+
+TEST(Internet, RouteMatchesTrieOracleOverPaperWorld) {
+  // The forwarding table against a PrefixTrie fed the same announcements in
+  // the same order, over the paper world plus two providers announcing
+  // more-specifics inside Versatel's /32: a /48 and a /64, then the same
+  // /48 again from the second provider (the later announcement wins it).
+  PaperWorld world = make_paper_world();
+  Internet& internet = world.internet;
+  const net::Prefix versatel_ad =
+      internet.provider(world.versatel).config().advertisements.front();
+  const net::Prefix nested_48 = versatel_ad.subnet(48, net::Uint128{7});
+  const net::Prefix nested_64 = versatel_ad.subnet(64, net::Uint128{3});
+  ProviderConfig nested;
+  nested.asn = 64512;
+  nested.name = "Nested";
+  nested.country = "DE";
+  nested.advertisements = {nested_48, nested_64};
+  const std::size_t nested_index = internet.add_provider(nested);
+  nested.asn = 64513;
+  nested.name = "Reannounced";
+  nested.advertisements = {nested_48};
+  const std::size_t reannounced_index = internet.add_provider(nested);
+
+  routing::PrefixTrie<std::size_t> trie;
+  std::vector<net::Ipv6Address> queries;
+  Rng rng{0x20E7E};
+  for (std::size_t p = 0; p < internet.provider_count(); ++p) {
+    for (const auto& ad : internet.provider(p).config().advertisements) {
+      trie.insert(ad, p);
+      const net::Uint128 first = ad.first().bits();
+      const net::Uint128 last = ad.last().bits();
+      queries.emplace_back(first);
+      queries.emplace_back(last);
+      queries.emplace_back(last + net::Uint128{1});
+      queries.emplace_back(first - net::Uint128{1});
+      for (int i = 0; i < 256; ++i) {
+        queries.emplace_back(first | (net::Uint128{rng.next(), rng.next()} &
+                                      ~net::Prefix::mask(ad.length())));
+      }
+    }
+  }
+  for (int i = 0; i < 4096; ++i) {
+    queries.emplace_back(net::Uint128{rng.next(), rng.next()});
+  }
+
+  std::size_t routed = 0;
+  for (const auto& a : queries) {
+    const auto match = trie.longest_match(a);
+    const std::optional<std::size_t> expected =
+        match ? std::optional<std::size_t>{*match->value} : std::nullopt;
+    ASSERT_EQ(internet.route(a), expected) << a.to_string();
+    if (expected) ++routed;
+  }
+  EXPECT_GT(routed, queries.size() / 2);
+  EXPECT_EQ(internet.route(versatel_ad.first()), world.versatel);
+  EXPECT_EQ(internet.route(nested_64.last()), nested_index);
+  EXPECT_EQ(internet.route(nested_48.first()), reannounced_index);
+  EXPECT_EQ(internet.route(versatel_ad.last()), world.versatel);
 }
 
 TEST(Internet, BgpViewMatchesAdvertisements) {
