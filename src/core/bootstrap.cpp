@@ -122,10 +122,11 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   // Engine-backed sweep straight into the result store: shard traffic is
   // folded into the funnel prober's ledger, per-unit store slices come
   // back for the stages that classify per unit.
-  const auto sweep = [&](const std::vector<engine::SweepUnit>& units) {
-    const SweepIngest ingest =
-        sweep_into_store(internet, clock, units, prober.options(),
-                         sweep_options, result.observations);
+  const auto sweep = [&](const std::vector<engine::SweepUnit>& units,
+                         ShardStores shard_stores = ShardStores::kGrow) {
+    const SweepIngest ingest = sweep_into_store(
+        internet, clock, units, prober.options(), sweep_options,
+        result.observations, nullptr, shard_stores);
     prober.accumulate_counters(ingest.counters);
     return ingest;
   };
@@ -282,7 +283,8 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   }
   // Both sweeps merge into the result store. A probe yields at most one
   // row, so reserving for both up front keeps the second merge from
-  // reallocating and re-copying the first sweep's rows.
+  // reallocating and re-copying the first sweep's rows. Most of these
+  // probes answer, so the shard stores are sized by probe count too.
   std::uint64_t rotation_probes = 0;
   for (const auto& unit : rotation_units) {
     rotation_probes +=
@@ -292,10 +294,10 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
                               2 * static_cast<std::size_t>(rotation_probes));
   const sim::TimePoint snap1_start = clock.now();
   const std::size_t first_begin = result.observations.size();
-  const SweepIngest first = sweep(rotation_units);
+  const SweepIngest first = sweep(rotation_units, ShardStores::kProbeBound);
   clock.advance_to(snap1_start + options.snapshot_gap);
   const std::size_t second_begin = result.observations.size();
-  const SweepIngest second = sweep(rotation_units);
+  const SweepIngest second = sweep(rotation_units, ShardStores::kProbeBound);
   result.snapshot_rows = {engine::RowRange{first_begin, second_begin},
                           engine::RowRange{second_begin,
                                            result.observations.size()}};

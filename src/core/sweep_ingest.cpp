@@ -26,6 +26,7 @@ class StoreShardSink final : public engine::UnitSink {
   void enable_trace(std::size_t recorder_capacity) {
     recorder_ = std::make_unique<trace::TraceRecorder>(recorder_capacity);
   }
+  void reserve(std::size_t rows) { store_.reserve(rows); }
   void enable_sketch() {
     sketch_ = std::make_unique<trace::QuantileSketch>();
   }
@@ -80,7 +81,8 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              const probe::ProberOptions& prober_options,
                              const engine::SweepOptions& options,
                              ObservationStore& store,
-                             corpus::SnapshotWriter* snapshot) {
+                             corpus::SnapshotWriter* snapshot,
+                             ShardStores shard_stores) {
   std::vector<StoreShardSink> sinks(
       engine::effective_threads(options.threads, options.oversubscribe));
   for (auto& sink : sinks) {
@@ -88,6 +90,15 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
       sink.enable_trace(options.trace->recorder_capacity());
     }
     if (options.merge_registry != nullptr) sink.enable_sketch();
+  }
+  if (shard_stores == ShardStores::kProbeBound) {
+    // The executor partitions with this same plan, so shard s sends
+    // exactly shard_probes(s) probes.
+    const engine::SweepPlan plan{units, prober_options, clock.now(),
+                                 static_cast<unsigned>(sinks.size())};
+    for (unsigned s = 0; s < plan.shard_count(); ++s) {
+      sinks[s].reserve(static_cast<std::size_t>(plan.shard_probes(s)));
+    }
   }
   const auto report = engine::run_sharded_sweep(
       internet, clock, units, prober_options, options,

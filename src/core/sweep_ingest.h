@@ -43,6 +43,19 @@ struct SweepIngest {
   unsigned threads_used = 1;
 };
 
+/// How sweep_into_store sizes the shard-local stores its workers fill.
+enum class ShardStores {
+  /// Grow with the rows, by doubling: for sparse sweeps, where few probes
+  /// answer and a probe-count reservation would be mostly unused.
+  kGrow,
+  /// Reserve each shard's probe count up front (a probe yields at most one
+  /// row): for dense sweeps, where most probes answer. Each column is then
+  /// allocated once, at a size set by the unit list alone, instead of
+  /// through a chain of doublings whose copies and page faults depend on
+  /// what the allocator kept from earlier sweeps.
+  kProbeBound,
+};
+
 /// Runs `units` through the sharded executor and appends every responsive
 /// result to `store` in serial order — and to `snapshot` too, when given
 /// (the checkpointing campaign's day snapshot). The caller's clock ends at
@@ -52,6 +65,7 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              const probe::ProberOptions& prober_options,
                              const engine::SweepOptions& options,
                              ObservationStore& store,
-                             corpus::SnapshotWriter* snapshot = nullptr);
+                             corpus::SnapshotWriter* snapshot = nullptr,
+                             ShardStores shard_stores = ShardStores::kGrow);
 
 }  // namespace scent::core

@@ -247,5 +247,41 @@ TEST(EngineExecutor, IngestRangesSliceTheMergedStore) {
   EXPECT_EQ(expected_begin, store.size());
 }
 
+TEST(EngineExecutor, ProbeBoundShardStoresMergeLikeGrownOnes) {
+  sim::PaperWorld world = sim::make_tiny_world(0xE7, 48);
+  const auto units = pool_units(world, 6, 64);
+
+  for (const unsigned threads : {1u, 3u}) {
+    const SweepOptions options{.threads = threads, .oversubscribe = true};
+    core::ObservationStore grown;
+    sim::VirtualClock grown_clock{sim::hours(10)};
+    const core::SweepIngest grown_ingest = core::sweep_into_store(
+        world.internet, grown_clock, units, fast_options(), options, grown);
+    core::ObservationStore reserved;
+    sim::VirtualClock reserved_clock{sim::hours(10)};
+    const core::SweepIngest reserved_ingest = core::sweep_into_store(
+        world.internet, reserved_clock, units, fast_options(), options,
+        reserved, nullptr, core::ShardStores::kProbeBound);
+
+    ASSERT_GT(grown.size(), 0u);
+    ASSERT_EQ(reserved.size(), grown.size()) << threads << " threads";
+    for (std::size_t i = 0; i < grown.size(); ++i) {
+      ASSERT_EQ(reserved.target(i), grown.target(i)) << "row " << i;
+      ASSERT_EQ(reserved.response(i), grown.response(i)) << "row " << i;
+      ASSERT_EQ(reserved.type_code(i), grown.type_code(i)) << "row " << i;
+      ASSERT_EQ(reserved.time(i), grown.time(i)) << "row " << i;
+    }
+    EXPECT_EQ(reserved.unique_responses(), grown.unique_responses());
+    EXPECT_EQ(reserved.unique_eui64_iids(), grown.unique_eui64_iids());
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      EXPECT_EQ(reserved_ingest.units[u].obs_begin,
+                grown_ingest.units[u].obs_begin);
+      EXPECT_EQ(reserved_ingest.units[u].obs_end,
+                grown_ingest.units[u].obs_end);
+    }
+    EXPECT_EQ(reserved_clock.now(), grown_clock.now());
+  }
+}
+
 }  // namespace
 }  // namespace scent::engine
